@@ -69,7 +69,7 @@ class RemoteOracle:
             resp = OracleResponse("hard", label, None, latency)
         self.count += 1
         self.log.append(QueryRecord(self.count, image_digest(image), resp.kind, resp.label,
-                                    None if goal is None else is_success(resp, goal),
+                                    None if goal is None else is_success(resp.label, goal),
                                     time.time()))
         return resp
 

@@ -8,7 +8,7 @@ repeated runs produce byte-identical files.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import pm as pm_mod
 from .client import connect
 from .errors import ConfigError
 from .losses import AttackGoal, LossKind, single_loss
-from .oracle import LocalOracle
+from .oracle import LocalOracle, is_success
 from .prng import stream
 from .search import SearchConfig, bases_attack, export_query_log_csv
 
@@ -111,6 +111,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
 
 def build_search_config(search: dict, pm: dict) -> SearchConfig:
+    if "order_seed" in search:
+        raise ConfigError("search.order_seed is not a config key: each image's "
+                          "coordinate order derives from the experiment seed")
     pm = dict(pm)
     budget_spec = pm.pop("budget", {"norm": "linf", "eps": 16.0 / 255.0})
     loss_spec = pm.pop("loss", {})
@@ -258,14 +261,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
 
         oracle = (connect(victim_url, require_mode="soft") if victim_url is not None
                   else LocalOracle(victim_model, "soft"))
-        per_image = SearchConfig(
-            pm=search_cfg.pm,
-            max_queries=search_cfg.max_queries,
-            eta=search_cfg.eta,
-            order=search_cfg.order,
-            order_seed=_derive_seed(cfg.seed, f"image/{i}/order"),
-            select_rule=search_cfg.select_rule,
-        )
+        per_image = replace(search_cfg, order_seed=_derive_seed(cfg.seed, f"image/{i}/order"))
         outcome = bases_attack(img, goal, oracle, surrogates, per_image)
         export_query_log_csv(outcome, os.path.join(cfg.output_dir, "query_logs",
                                                    f"image_{i:04d}.csv"))
@@ -330,9 +326,7 @@ def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: in
             _, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), pm_cfg)
             z = nn.forward(victim_model, x_star)
             loss = single_loss(z, goal, pm_cfg.loss)
-            label = int(np.argmax(z))
-            ok = (label == goal.label) if goal.mode == "targeted" else (label != goal.label)
-            rows.append((i, j, k, loss, ok))
+            rows.append((i, j, k, loss, is_success(int(np.argmax(z)), goal)))
     return rows
 
 

@@ -53,17 +53,21 @@ def image_digest(image: np.ndarray) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def is_success(resp: OracleResponse, goal: AttackGoal) -> bool:
-    """Argmax predicate: targeted wants label == y*, untargeted label != y."""
+def is_success(label: int, goal: AttackGoal) -> bool:
+    """Argmax predicate on the predicted label: targeted wants label == y*,
+    untargeted label != y."""
     if goal.mode == "targeted":
-        return resp.label == goal.label
-    return resp.label != goal.label
+        return label == goal.label
+    return label != goal.label
 
 
-def _check_image(image: np.ndarray) -> np.ndarray:
+def check_image(image: np.ndarray) -> np.ndarray:
+    """The query image as float32; ValueError unless every pixel is a
+    finite value in [0,1]."""
     image = np.asarray(image, dtype=np.float32)
-    if image.size and (float(image.min()) < 0.0 or float(image.max()) > 1.0):
-        raise ValueError("query image has pixels outside [0,1]")
+    # NaN fails every comparison, so only the negated form rejects it
+    if image.size and not (float(image.min()) >= 0.0 and float(image.max()) <= 1.0):
+        raise ValueError("query image has pixels outside [0,1] or not finite")
     return image
 
 
@@ -83,7 +87,7 @@ class LocalOracle:
         return self.model.num_classes
 
     def query(self, image: np.ndarray, goal: AttackGoal | None = None) -> OracleResponse:
-        image = _check_image(image)
+        image = check_image(image)
         start = time.perf_counter()
         z = nn.forward(self.model, image)
         label = int(np.argmax(z))
@@ -94,13 +98,9 @@ class LocalOracle:
             resp = OracleResponse("hard", label, None, latency)
         self.count += 1
         self.log.append(QueryRecord(self.count, image_digest(image), resp.kind, label,
-                                    None if goal is None else is_success(resp, goal),
+                                    None if goal is None else is_success(label, goal),
                                     time.time()))
         return resp
-
-
-def query(oracle, image: np.ndarray, goal: AttackGoal | None = None) -> OracleResponse:
-    return oracle.query(image, goal)
 
 
 def require_soft(oracle) -> None:

@@ -122,6 +122,50 @@ def _victim_loss(resp, goal: AttackGoal, loss: LossKind) -> float:
     return single_loss(resp.logits, goal, loss)
 
 
+def _coordinate_search(x, goal: AttackGoal, surrogates, cfg: SearchConfig, budget: int,
+                       evaluate):
+    """The coordinate search both query pathways run.
+
+    ``evaluate(delta, x_star, coordinate, tag) -> (loss, stop)`` scores each
+    PM output, at most ``budget`` times, the equal-weights start first. Each
+    outer iteration scores the plus candidate and, while the budget lasts,
+    the minus candidate, then accepts the lowest loss among the candidates
+    of ``cfg.select_rule``; a candidate that returns stop is accepted at
+    once and ends the search. Returns (trajectory, stopped, delta, w).
+    """
+    n = len(surrogates)
+    eta = cfg.resolved_eta(n)
+    w = np.full(n, 1.0 / n)
+    delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), cfg.pm)
+    loss, stop = evaluate(delta, x_star, -1, "init")
+    trajectory = [IterationRecord(0, -1, "init", w.copy(), loss, stop, delta.copy(),
+                                  np.zeros_like(x))]
+    used = 1
+
+    schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
+    iteration = 0
+    while not stop and used < budget:
+        iteration += 1
+        coord = next(schedule)
+        warm = delta.copy()
+        candidates = [("incumbent", w, delta, loss)] if cfg.select_rule == "monotone_three_way" else []
+        for tag, w_cand in zip(("plus", "minus"), coordinate_pair(w, coord, eta)):
+            if used == budget:
+                break
+            d, xs = pm_mod.pm_run(x, goal, surrogates, w_cand, warm, cfg.pm)
+            cand_loss, stop = evaluate(d, xs, coord, tag)
+            used += 1
+            candidates.append((tag, w_cand, d, cand_loss))
+            if stop:
+                break
+        # min loss; ties keep the earliest listed (incumbent, then plus, then
+        # minus)
+        tag, w, delta, loss = candidates[-1] if stop else min(candidates, key=lambda c: c[3])
+        trajectory.append(IterationRecord(iteration, coord, tag, w.copy(), loss, stop,
+                                          delta.copy(), warm))
+    return trajectory, stop, delta, w
+
+
 def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> AttackOutcome:
     """Coordinate search on the weight simplex under a hard query budget.
 
@@ -132,70 +176,21 @@ def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> 
     """
     require_soft(oracle)
     x = np.asarray(x, dtype=np.float32)
-    n = len(surrogates)
-    if n < 1:
+    if len(surrogates) < 1:
         raise ValueError("need at least one surrogate")
-    eta = cfg.resolved_eta(n)
-    q_max = cfg.max_queries
-
     events = []
-    trajectory = []
-    q = 0
 
-    def ask(x_star, coordinate, tag):
-        nonlocal q
+    def ask(delta, x_star, coordinate, tag):
         resp = oracle.query(x_star, goal)
-        q += 1
         loss = _victim_loss(resp, goal, cfg.pm.loss)
-        ok = is_success(resp, goal)
-        events.append(QueryEvent(q, coordinate, tag, loss, ok))
+        ok = is_success(resp.label, goal)
+        events.append(QueryEvent(len(events) + 1, coordinate, tag, loss, ok))
         return loss, ok
 
-    def outcome(success, delta, w):
-        return AttackOutcome(success, delta, q, w, events, trajectory,
-                             getattr(oracle, "log", None))
-
-    w = np.full(n, 1.0 / n)
-    delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), cfg.pm)
-    loss, ok = ask(x_star, -1, "init")
-    trajectory.append(IterationRecord(0, -1, "init", w.copy(), loss, ok,
-                                      delta.copy(), np.zeros_like(x)))
-    if ok:
-        return outcome(True, delta, w)
-
-    schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
-    iteration = 0
-    while q < q_max:
-        iteration += 1
-        coord = next(schedule)
-        w_plus, w_minus = coordinate_pair(w, coord, eta)
-        warm = delta.copy()
-
-        d_plus, xs_plus = pm_mod.pm_run(x, goal, surrogates, w_plus, warm, cfg.pm)
-        loss_plus, ok = ask(xs_plus, coord, "plus")
-        if ok:
-            trajectory.append(IterationRecord(iteration, coord, "plus", w_plus.copy(),
-                                              loss_plus, True, d_plus.copy(), warm))
-            return outcome(True, d_plus, w_plus)
-
-        candidates = [("incumbent", w, delta, loss)] if cfg.select_rule == "monotone_three_way" else []
-        candidates.append(("plus", w_plus, d_plus, loss_plus))
-
-        if q < q_max:
-            d_minus, xs_minus = pm_mod.pm_run(x, goal, surrogates, w_minus, warm, cfg.pm)
-            loss_minus, ok = ask(xs_minus, coord, "minus")
-            if ok:
-                trajectory.append(IterationRecord(iteration, coord, "minus", w_minus.copy(),
-                                                  loss_minus, True, d_minus.copy(), warm))
-                return outcome(True, d_minus, w_minus)
-            candidates.append(("minus", w_minus, d_minus, loss_minus))
-
-        # min victim loss; ties keep the earliest listed (incumbent, then
-        # plus, then minus)
-        tag, w, delta, loss = min(candidates, key=lambda c: c[3])
-        trajectory.append(IterationRecord(iteration, coord, tag, w.copy(), loss, False,
-                                          delta.copy(), warm))
-    return outcome(False, delta, w)
+    trajectory, success, delta, w = _coordinate_search(x, goal, surrogates, cfg,
+                                                       cfg.max_queries, ask)
+    return AttackOutcome(success, delta, len(events), w, events, trajectory,
+                         getattr(oracle, "log", None))
 
 
 def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
@@ -241,8 +236,7 @@ def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
         d, x_star = pm_mod.pm_run(x, goal, surrogates, wv, warm, cfg.pm)
         z = nn.forward(victim_model, x_star)
         loss = single_loss(z, goal, cfg.pm.loss)
-        ok = (int(np.argmax(z)) == goal.label) if goal.mode == "targeted" \
-            else (int(np.argmax(z)) != goal.label)
+        ok = is_success(int(np.argmax(z)), goal)
         trajectory.append(IterationRecord(iteration, -1, accepted, wv.copy(), loss, ok,
                                           d.copy(), np.asarray(warm, dtype=np.float32).copy()))
         return d, loss, ok
@@ -270,38 +264,14 @@ def hardlabel_queryset(x, goal: AttackGoal, surrogate_victim, surrogates,
     entry is the equal-weights PM output; the list has exactly q_total
     entries (default cfg.max_queries)."""
     x = np.asarray(x, dtype=np.float32)
-    n = len(surrogates)
-    eta = cfg.resolved_eta(n)
-    q_total = q_total if q_total is not None else cfg.max_queries
-
-    def stand_in_loss(x_star):
-        return single_loss(nn.forward(surrogate_victim, x_star), goal, cfg.pm.loss)
-
     deltas = []
-    w = np.full(n, 1.0 / n)
-    delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), cfg.pm)
-    loss = stand_in_loss(x_star)
-    deltas.append(delta.copy())
 
-    schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
-    while len(deltas) < q_total:
-        coord = next(schedule)
-        w_plus, w_minus = coordinate_pair(w, coord, eta)
-        warm = delta.copy()
+    def stand_in(delta, x_star, coordinate, tag):
+        deltas.append(delta.copy())
+        return single_loss(nn.forward(surrogate_victim, x_star), goal, cfg.pm.loss), False
 
-        d_plus, xs_plus = pm_mod.pm_run(x, goal, surrogates, w_plus, warm, cfg.pm)
-        loss_plus = stand_in_loss(xs_plus)
-        deltas.append(d_plus.copy())
-        candidates = [("incumbent", w, delta, loss)] if cfg.select_rule == "monotone_three_way" else []
-        candidates.append(("plus", w_plus, d_plus, loss_plus))
-
-        if len(deltas) < q_total:
-            d_minus, xs_minus = pm_mod.pm_run(x, goal, surrogates, w_minus, warm, cfg.pm)
-            loss_minus = stand_in_loss(xs_minus)
-            deltas.append(d_minus.copy())
-            candidates.append(("minus", w_minus, d_minus, loss_minus))
-
-        _, w, delta, loss = min(candidates, key=lambda c: c[3])
+    _coordinate_search(x, goal, surrogates, cfg,
+                       q_total if q_total is not None else cfg.max_queries, stand_in)
     return deltas
 
 
@@ -312,7 +282,7 @@ def hardlabel_attack(x, goal: AttackGoal, queryset, hard_oracle) -> AttackOutcom
     events = []
     for k, delta in enumerate(queryset, start=1):
         resp = hard_oracle.query(x + delta, goal)
-        ok = is_success(resp, goal)
+        ok = is_success(resp.label, goal)
         events.append(QueryEvent(k, -1, "queryset", _victim_loss(resp, goal, LossKind()), ok))
         if ok:
             return AttackOutcome(True, delta, k, None, events, [],

@@ -7,8 +7,10 @@ GET /v1/meta
 POST /v1/predict
     request  {"shape": [c, h, w], "pixels": "<base64 little-endian float32>"}
     200 soft {"logits": [...]}  |  200 hard {"label": k}
-    400 {"error": "..."} on malformed input, 429 {"error": "budget_exhausted"}
-    once a client exceeds the per-client query budget.
+    400 {"error": "..."} on malformed input, NaN or infinite pixels included,
+    413 when Content-Length exceeds what the model's input shape can need,
+    429 {"error": "budget_exhausted"} once a client exceeds the per-client
+    query budget. Replies that leave the body unread close the connection.
 
 Pixels travel as base64-wrapped binary and logits as JSON numbers printed
 from double precision, so a float32 round trip through the wire is exact and
@@ -23,6 +25,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import nn
+from .oracle import check_image
+
+
+def _max_body(input_shape) -> int:
+    """Largest predict body a valid request for this input shape needs: the
+    base64 float32 pixels plus 1 KiB for the JSON around them."""
+    return 4 * -(-4 * int(np.prod(input_shape)) // 3) + 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -37,11 +46,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, status: int, payload: dict) -> None:
+        # the refused request's body is never read and would be parsed as the
+        # next request on this connection, so the reply closes it
+        self.close_connection = True
+        self._send(status, payload)
+
+    def _count_request(self) -> None:
+        with self.server.lock:
+            self.server.request_count += 1
+
     def do_GET(self):
-        self.server.request_count += 1
+        self._count_request()
         if self.path != "/v1/meta":
             self._send(404, {"error": "unknown path"})
             return
@@ -53,21 +74,29 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def do_POST(self):
-        self.server.request_count += 1
+        self._count_request()
         if self.path != "/v1/predict":
-            self._send(404, {"error": "unknown path"})
+            self._refuse(404, {"error": "unknown path"})
+            return
+        length = self.headers.get("Content-Length", "")
+        if not length.isdecimal():
+            self._refuse(400, {"error": "missing or malformed Content-Length"})
+            return
+        length = int(length)
+        if length > self.server.max_body:
+            self._refuse(413, {"error": f"body of {length} bytes exceeds the "
+                                        f"{self.server.max_body} a request can need"})
             return
         client = self.client_address[0]
         budget = self.server.budget
         if budget is not None:
-            with self.server.budget_lock:
+            with self.server.lock:
                 used = self.server.budget_used.get(client, 0)
                 if used >= budget:
-                    self._send(429, {"error": "budget_exhausted"})
+                    self._refuse(429, {"error": "budget_exhausted"})
                     return
                 self.server.budget_used[client] = used + 1
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             body = json.loads(self.rfile.read(length).decode("utf-8"))
             shape = tuple(int(v) for v in body["shape"])
             pixels = np.frombuffer(base64.b64decode(body["pixels"]), dtype="<f4")
@@ -82,9 +111,10 @@ class _Handler(BaseHTTPRequestHandler):
         if pixels.size != int(np.prod(shape)):
             self._send(400, {"error": "pixel count does not match shape"})
             return
-        image = pixels.reshape(shape)
-        if float(image.min()) < 0.0 or float(image.max()) > 1.0:
-            self._send(400, {"error": "pixels outside [0,1]"})
+        try:
+            image = check_image(pixels.reshape(shape))
+        except ValueError as exc:
+            self._send(400, {"error": str(exc)})
             return
         z = nn.forward(model, image)
         if self.server.mode == "soft":
@@ -129,7 +159,8 @@ def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
     httpd.mode = mode
     httpd.budget = budget
     httpd.budget_used = {}
-    httpd.budget_lock = threading.Lock()
+    httpd.max_body = _max_body(model.input_shape)
+    httpd.lock = threading.Lock()  # guards budget_used and request_count
     httpd.request_count = 0
     if not background:
         try:

@@ -80,6 +80,14 @@ def test_attack_config_errors_exit_2(zoo_dir, tmp_path, capsys):
     assert "config error" in err
 
 
+def test_attack_rejects_search_order_seed(zoo_dir, tmp_path, capsys):
+    cfg = tmp_path / "seeded.json"
+    cfg.write_text(json.dumps(_attack_config(zoo_dir, str(tmp_path / "z"),
+                                             search={"max_queries": 5, "order_seed": 3})))
+    assert main(["attack", str(cfg)]) == 2
+    assert "order_seed" in capsys.readouterr().err
+
+
 def test_attack_transport_error_exit_3(zoo_dir, tmp_path, capsys):
     cfg = tmp_path / "dead.json"
     cfg.write_text(json.dumps(_attack_config(zoo_dir, str(tmp_path / "y"),

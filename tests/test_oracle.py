@@ -73,21 +73,22 @@ def test_image_digest_stability():
 def test_is_success_examples():
     z = np.array([1.0, 3.0, 2.0], np.float32)
     resp = oracle.OracleResponse("soft", int(np.argmax(z)), z, 0.0)
-    assert oracle.is_success(resp, util.targeted(1))
-    assert not oracle.is_success(resp, util.targeted(2))
-    assert oracle.is_success(resp, util.untargeted(0))
-    assert not oracle.is_success(resp, util.untargeted(1))
+    assert oracle.is_success(resp.label, util.targeted(1))
+    assert not oracle.is_success(resp.label, util.targeted(2))
+    assert oracle.is_success(resp.label, util.untargeted(0))
+    assert not oracle.is_success(resp.label, util.untargeted(1))
     # argmax ties resolve before the predicate: [1,1] reports label 0
     tie = oracle.OracleResponse("soft", 0, np.array([1.0, 1.0], np.float32), 0.0)
-    assert not oracle.is_success(tie, util.targeted(1))
+    assert not oracle.is_success(tie.label, util.targeted(1))
 
 
 def test_pixel_range_enforced():
     orc = oracle.LocalOracle(util.tiny_model(26, 1))
-    bad = util.rand_image(26)
-    bad.flat[3] = 1.5
-    with pytest.raises(ValueError):
-        orc.query(bad)
+    for value in (1.5, -0.25, np.nan, np.inf):
+        bad = util.rand_image(26)
+        bad.flat[3] = value
+        with pytest.raises(ValueError):
+            orc.query(bad)
     assert orc.count == 0 and len(orc.log) == 0
 
 
@@ -98,11 +99,3 @@ def test_require_soft():
         oracle.require_soft(oracle.LocalOracle(m, "hard"))
     with pytest.raises(CapabilityError):
         oracle.require_soft(object())
-
-
-def test_module_level_query_helper():
-    m = util.tiny_model(28, 2)
-    orc = oracle.LocalOracle(m)
-    x = util.rand_image(28)
-    assert oracle.query(orc, x).label == orc.query(x).label
-    assert orc.count == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import util
 from ensattack import pm, search
 from ensattack.errors import CapabilityError
-from ensattack.oracle import LocalOracle
+from ensattack.oracle import LocalOracle, image_digest
 
 
 def _cfg(max_queries=50, steps=3, eps=0.12, **kw):
@@ -317,6 +317,26 @@ def test_hardlabel_queryset_structure():
     again = search.hardlabel_queryset(x, goal, stand_in, surrogates, cfg)
     assert all(np.array_equal(a, b) for a, b in zip(qs, again))
     assert len(search.hardlabel_queryset(x, goal, stand_in, surrogates, cfg, q_total=4)) == 4
+
+
+@pytest.mark.parametrize("order", ["cyclic", "random"])
+@pytest.mark.parametrize("select_rule", ["monotone_three_way", "paper_two_way"])
+def test_hardlabel_queryset_is_the_attack_query_sequence(select_rule, order):
+    # against the stand-in itself, the score-based attack queries exactly
+    # the query set's first q_used images
+    spent_budget = 0
+    for k in range(6):
+        surrogates = [util.tiny_model(110 + 10 * k + j, j + k) for j in range(1 + k % 3)]
+        stand_in = util.tiny_model(150 + k, k)
+        x = util.rand_image(110 + k)
+        goal = util.targeted(k % util.TINY_CLASSES)
+        cfg = _cfg(max_queries=9, select_rule=select_rule, order=order, order_seed=k)
+        orc = LocalOracle(stand_in)
+        out = search.bases_attack(x, goal, orc, surrogates, cfg)
+        qs = search.hardlabel_queryset(x, goal, stand_in, surrogates, cfg)
+        assert [image_digest(x + d) for d in qs[:out.q_used]] == [e.digest for e in orc.log]
+        spent_budget += int(out.q_used == cfg.max_queries)
+    assert spent_budget >= 1
 
 
 def test_hardlabel_attack_first_query_success():

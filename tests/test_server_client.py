@@ -1,5 +1,6 @@
 import base64
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -53,7 +54,7 @@ def test_remote_log_matches_local_interface(soft_pair):
     assert orc.count == 1 and len(orc.log) == 1
     rec = orc.log.entries[0]
     assert rec.digest == oracle.image_digest(x)
-    assert rec.success == oracle.is_success(resp, goal)
+    assert rec.success == oracle.is_success(resp.label, goal)
 
 
 def test_request_count_includes_meta():
@@ -87,6 +88,9 @@ def test_budget_exhaustion_surfaces_partial_log():
         assert "429" in str(err.value) and "budget_exhausted" in str(err.value)
         assert len(err.value.partial_log) == 2
         assert orc.count == 2
+        # the unread body of the refused request must not garble the next one
+        with pytest.raises(TransportError, match="429"):
+            orc.query(util.rand_image(303))
 
 
 def test_server_rejects_bad_requests(soft_pair):
@@ -106,9 +110,40 @@ def test_server_rejects_bad_requests(soft_pair):
     hot = util.rand_image(45)
     hot.flat[0] = 1.5
     assert post(_predict_body(hot)).status_code == 400  # out of range
+    hot.flat[0] = np.nan
+    assert post(_predict_body(hot)).status_code == 400  # not finite
     assert post(ok).status_code == 200
     assert requests.post(f"{handle.url}/v1/other", json=ok, timeout=5).status_code == 404
     assert requests.get(f"{handle.url}/v1/other", timeout=5).status_code == 404
+
+
+def _raw_post_status(url, content_length):
+    """Status line and headers of a predict request that declares
+    ``content_length`` and sends no body; times out instead of hanging."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+        sock.sendall(f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: {content_length}\r\n\r\n".encode("ascii"))
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(4096)
+            assert chunk, "server closed the connection without a reply"
+            reply += chunk
+    head = reply.split(b"\r\n\r\n", 1)[0].decode("ascii").lower()
+    return int(head.split()[1]), head
+
+
+def test_server_bounds_content_length(soft_pair):
+    model, handle = soft_pair
+    limit = server._max_body(model.input_shape)
+    assert len(json.dumps(_predict_body(util.rand_image(51)))) < limit
+    for length, status in (("-1", 400), ("twelve", 400), (str(10**12), 413),
+                           (str(limit + 1), 413)):
+        got, head = _raw_post_status(handle.url, length)
+        assert got == status, length
+        assert "connection: close" in head
+    assert requests.post(f"{handle.url}/v1/predict", json=_predict_body(util.rand_image(51)),
+                         timeout=5).status_code == 200
 
 
 def test_client_raises_transport_error_on_400(soft_pair):

@@ -88,7 +88,7 @@ def test_single_query_run_equals_transfer_baseline(scene):
         out = search.bases_attack(x, goal, LocalOracle(victim), surrogates, cfg)
         assert out.q_used == 1
         _, x_star = pm.pm_run(x, goal, surrogates, w, np.zeros_like(x), cfg.pm)
-        baseline = is_success(LocalOracle(victim).query(x_star), goal)
+        baseline = is_success(LocalOracle(victim).query(x_star).label, goal)
         assert out.success == baseline
         assert np.array_equal(out.delta + x, x_star)
 

@@ -172,7 +172,7 @@ class ScriptedOracle:
         resp = OracleResponse("soft", int(np.argmax(z)), z, 0.0)
         self.log.append(QueryRecord(self.count, image_digest(np.asarray(image, np.float32)),
                                     "soft", resp.label,
-                                    None if goal is None else is_success(resp, goal), 0.0))
+                                    None if goal is None else is_success(resp.label, goal), 0.0))
         return resp
 
 
