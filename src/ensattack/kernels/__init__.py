@@ -1,28 +1,15 @@
-"""Convolution kernel backend selection.
+"""Convolution kernels: the NumPy implementation in ``reference``.
 
-The compiled Cython extension is preferred when it built; otherwise the
-NumPy reference implementation is used. The choice happens once, at import,
-so a process is bitwise-deterministic against itself. Set the environment
-variable ``ENSATTACK_PURE_PYTHON=1`` to force the fallback (used by the
-backend-agreement tests and the benchmark).
+``nn`` calls these through the package attributes, so one place names the
+kernels the engine runs.
 """
-
-import os
 
 from . import reference
 
-if os.environ.get("ENSATTACK_PURE_PYTHON"):
-    _impl = reference
-else:
-    try:
-        from . import _conv as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = reference
-
-BACKEND = _impl.BACKEND_NAME
-conv2d_forward = _impl.conv2d_forward
-conv2d_grad_input = _impl.conv2d_grad_input
-conv2d_grad_params = _impl.conv2d_grad_params
+BACKEND = "numpy"
+conv2d_forward = reference.conv2d_forward
+conv2d_grad_input = reference.conv2d_grad_input
+conv2d_grad_params = reference.conv2d_grad_params
 
 __all__ = [
     "BACKEND",

@@ -1,12 +1,10 @@
-"""Pure-NumPy convolution kernels (fallback backend).
+"""Pure-NumPy convolution kernels.
 
 Valid padding, square kernels, single sample, channel-first layout.
 All arrays are float32 and C-contiguous; callers guarantee both.
 """
 
 import numpy as np
-
-BACKEND_NAME = "numpy"
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:

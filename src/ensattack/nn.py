@@ -19,11 +19,20 @@ from .errors import LayerSpecError, ShapeError
 # layer specs
 
 
+def _check_positive(layer, *names) -> None:
+    for name in names:
+        if not getattr(layer, name) >= 1:
+            raise LayerSpecError(f"{layer.kind} {name} must be >= 1, got {getattr(layer, name)!r}")
+
+
 @dataclass(frozen=True)
 class Dense:
     in_features: int
     out_features: int
     kind: str = "dense"
+
+    def __post_init__(self):
+        _check_positive(self, "in_features", "out_features")
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,9 @@ class Conv2d:
     kernel_size: int
     stride: int = 1
     kind: str = "conv2d"
+
+    def __post_init__(self):
+        _check_positive(self, "in_channels", "out_channels", "kernel_size", "stride")
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,8 @@ def output_shape(layer: LayerSpec, in_shape: tuple) -> tuple:
 def compose_shapes(layers: Sequence[LayerSpec], input_shape: tuple) -> list:
     """Shapes flowing through the stack, input included. Raises if the stack
     does not compose or does not end in a logit vector."""
+    if not all(d >= 1 for d in input_shape):
+        raise LayerSpecError(f"input shape {tuple(input_shape)} has a non-positive size")
     shapes = [tuple(input_shape)]
     for layer in layers:
         shapes.append(output_shape(layer, shapes[-1]))

@@ -97,14 +97,19 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
     delta_init is projected once on entry, so any caller-supplied warm start
     is safe. ``on_step(t, delta)`` is called after each iteration when given
     (instrumentation only; it must not mutate delta). Returns (delta, x_star)
-    with x_star = x + delta.
+    with x_star = x + delta. ValueError if x or delta_init is not finite.
     """
     x = np.asarray(x, dtype=np.float32)
+    delta_init = np.asarray(delta_init, dtype=np.float32)
     w = np.asarray(w, dtype=np.float64)
     if len(w) != len(models):
         raise ShapeError(f"{len(models)} models vs {len(w)} weights")
+    if not np.isfinite(x).all():
+        raise ValueError("pm_run image has pixels that are not finite")
+    if not np.isfinite(delta_init).all():
+        raise ValueError("pm_run delta_init has entries that are not finite")
     lam = np.float32(cfg.resolved_step())
-    delta = project(np.asarray(delta_init, dtype=np.float32), x, cfg.budget)
+    delta = project(delta_init, x, cfg.budget)
     for t in range(cfg.steps):
         g = ensemble_input_gradient(models, x, delta, w, cfg.fusion, cfg.loss, goal)
         delta = project(delta - lam * np.sign(g), x, cfg.budget)

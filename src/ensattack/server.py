@@ -11,6 +11,8 @@ POST /v1/predict
     413 when Content-Length exceeds what the model's input shape can need,
     429 {"error": "budget_exhausted"} once a client exceeds the per-client
     query budget. Replies that leave the body unread close the connection.
+    A body that arrives short, or not within BODY_TIMEOUT_S, closes the
+    connection with no reply.
 
 Pixels travel as base64-wrapped binary and logits as JSON numbers printed
 from double precision, so a float32 round trip through the wire is exact and
@@ -26,6 +28,10 @@ import numpy as np
 
 from . import nn
 from .oracle import check_image
+
+# seconds a request's body may take to arrive once its headers are in; idle
+# keep-alive connections between requests are not bounded
+BODY_TIMEOUT_S = 10.0
 
 
 def _max_body(input_shape) -> int:
@@ -56,6 +62,21 @@ class _Handler(BaseHTTPRequestHandler):
         # next request on this connection, so the reply closes it
         self.close_connection = True
         self._send(status, payload)
+
+    def _read_body(self, length: int) -> bytes | None:
+        """The request body, or None, with the connection marked for closing,
+        when it arrives short or not within BODY_TIMEOUT_S."""
+        self.connection.settimeout(BODY_TIMEOUT_S)
+        try:
+            raw = self.rfile.read(length)
+        except OSError:  # timed out, or reset by the client
+            raw = b""
+        finally:
+            self.connection.settimeout(self.timeout)
+        if len(raw) < length:
+            self.close_connection = True
+            return None
+        return raw
 
     def _count_request(self) -> None:
         with self.server.lock:
@@ -96,8 +117,11 @@ class _Handler(BaseHTTPRequestHandler):
                     self._refuse(429, {"error": "budget_exhausted"})
                     return
                 self.server.budget_used[client] = used + 1
+        raw = self._read_body(length)
+        if raw is None:
+            return
         try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
             shape = tuple(int(v) for v in body["shape"])
             pixels = np.frombuffer(base64.b64decode(body["pixels"]), dtype="<f4")
         except (KeyError, TypeError, ValueError) as exc:

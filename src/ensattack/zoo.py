@@ -255,12 +255,12 @@ def load_model(path) -> nn.Model:
     try:
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
         layers = [nn.layer_from_dict(d) for d in header["spec"]["layers"]]
-        input_shape = tuple(header["spec"]["input_shape"])
+        input_shape = tuple(int(d) for d in header["spec"]["input_shape"])
         num_classes = int(header["num_classes"])
         model_id = header["id"]
+        shapes = nn.compose_shapes(layers, input_shape)
     except (ValueError, KeyError, TypeError, LayerSpecError) as exc:
         raise FormatError(f"unreadable header: {exc}", offset=8) from None
-    shapes = nn.compose_shapes(layers, input_shape)
     offset = 8 + hlen
     params = []
     for layer, in_shape in zip(layers, shapes[:-1]):
@@ -284,7 +284,10 @@ def load_model(path) -> nn.Model:
         params.append(tuple(group))
     if offset != len(raw):
         raise FormatError(f"{len(raw) - offset} trailing bytes", offset=offset)
-    return nn.Model(layers, params, input_shape, num_classes, model_id)
+    try:
+        return nn.Model(layers, params, input_shape, num_classes, model_id)
+    except LayerSpecError as exc:
+        raise FormatError(f"unreadable header: {exc}", offset=8) from None
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
@@ -315,6 +318,18 @@ def load_dataset(path) -> LabeledDataset:
         offset += 2
         images[i, 0] = np.frombuffer(raw[offset : offset + side * side * 4], dtype="<f4").reshape(side, side)
         offset += side * side * 4
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"sample {i} has label {labels[i]} but {num_classes} classes",
+                          offset=16 + i * sample_bytes)
+    # NaN fails every comparison, so only the negated form rejects it
+    in_range = (images >= 0.0) & (images <= 1.0)
+    bad = np.flatnonzero(~in_range.all(axis=(1, 2, 3)))
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"sample {i} has pixels outside [0,1] or not finite",
+                          offset=16 + i * sample_bytes + 2)
     return LabeledDataset(images, labels, num_classes, side)
 
 

@@ -138,6 +138,19 @@ def test_pm_run_weight_arity_error():
         pm.pm_run(x, util.targeted(0), [m], [0.5, 0.5], np.zeros_like(x), _cfg())
 
 
+def test_pm_run_rejects_non_finite_input():
+    m = util.tiny_model(1, 0)
+    x = util.rand_image(1)
+    nan_x = x.copy()
+    nan_x.flat[3] = np.nan
+    with pytest.raises(ValueError, match="image"):
+        pm.pm_run(nan_x, util.targeted(0), [m], [1.0], np.zeros_like(x), _cfg())
+    inf_init = np.zeros_like(x)
+    inf_init.flat[0] = np.inf
+    with pytest.raises(ValueError, match="delta_init"):
+        pm.pm_run(x, util.targeted(0), [m], [1.0], inf_init, _cfg())
+
+
 @pytest.mark.parametrize("norm,eps", [("linf", 0.1), ("l2", 0.6)])
 def test_pm_run_feasible_after_every_step(norm, eps):
     models = [util.tiny_model(i + 9, i) for i in range(2)]

@@ -146,6 +146,24 @@ def test_server_bounds_content_length(soft_pair):
                          timeout=5).status_code == 200
 
 
+def test_server_drops_short_or_slow_body(soft_pair, monkeypatch, capsys):
+    # a body that never arrives, or stops at EOF, closes the connection with
+    # no reply instead of holding the handler until the client hangs up
+    monkeypatch.setattr(server, "BODY_TIMEOUT_S", 0.5)
+    _, handle = soft_pair
+    host, port = handle.url.rsplit("/", 1)[-1].split(":")
+    for hang_up in (False, True):
+        with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+            sock.sendall(f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: 100\r\n\r\n{{".encode("ascii"))
+            if hang_up:
+                sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(4096) == b"", hang_up
+    assert requests.post(f"{handle.url}/v1/predict", json=_predict_body(util.rand_image(52)),
+                         timeout=5).status_code == 200
+    assert capsys.readouterr().err == ""
+
+
 def test_client_raises_transport_error_on_400(soft_pair):
     _, handle = soft_pair
     orc = client.connect(handle.url)

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -62,9 +64,9 @@ def test_build_model_init_properties():
     for a, b in zip(m1.param_arrays(), m2.param_arrays()):
         assert np.array_equal(a, b)
     assert any(not np.array_equal(a, b) for a, b in zip(m1.param_arrays(), m3.param_arrays()))
-    w_conv, b_conv = m1.params[0]
-    assert float(np.abs(w_conv).max()) <= 1.0 / np.sqrt(1 * 9) + 1e-7
-    assert np.array_equal(b_conv, np.zeros(4, np.float32))
+    conv_w, conv_b = m1.params[0]
+    assert float(np.abs(conv_w).max()) <= 1.0 / np.sqrt(1 * 9) + 1e-7
+    assert np.array_equal(conv_b, np.zeros(4, np.float32))
     w_fc, _ = m1.params[3]
     assert float(np.abs(w_fc).max()) <= 1.0 / np.sqrt(4 * 36) + 1e-7
 
@@ -136,8 +138,6 @@ def test_model_round_trip_bitwise(tmp_path):
 
 
 def test_model_file_size_is_header_plus_params(tmp_path):
-    import struct
-
     m = util.tiny_model(1, 3)
     p = tmp_path / "m.bem"
     zoo.save_model(m, p)
@@ -171,6 +171,23 @@ def test_model_load_fault_injection(tmp_path):
     corrupt[10] ^= 0xFF
     expect(bytes(corrupt))
 
+    def with_header(blob, edit):
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8 : 8 + hlen])
+        edit(header)
+        text = json.dumps(header).encode("utf-8")
+        return blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + hlen :]
+
+    zoo.save_model(util.tiny_model(0, 3), p)
+    conv_raw = p.read_bytes()
+    expect(with_header(raw, lambda h: h["spec"].update(input_shape=["a"])), offset=8)
+    expect(with_header(raw, lambda h: h["spec"].update(input_shape=[-1, -6, 6])), offset=8)
+    expect(with_header(raw, lambda h: h.update(num_classes=5)), offset=8)
+    expect(with_header(raw, lambda h: h["spec"]["layers"][1].update(out_features=0)),
+           offset=8, contains="out_features")
+    expect(with_header(conv_raw, lambda h: h["spec"]["layers"][0].update(stride=0)),
+           offset=8, contains="stride")
+
 
 def test_dataset_round_trip_bitwise(tmp_path):
     ds = _small_ds()
@@ -190,7 +207,14 @@ def test_dataset_load_fault_injection(tmp_path):
     p = tmp_path / "d.bds"
     zoo.save_dataset(ds, p)
     raw = p.read_bytes()
-    for blob, offset in ((b"ZZZZ" + raw[4:], 0), (raw[:10], 10), (raw[:-8], len(raw) - 8)):
+    sample = 2 + 8 * 8 * 4
+    bad_label = bytearray(raw)
+    bad_label[16 + 5 * sample : 18 + 5 * sample] = struct.pack("<H", 9)
+    nan_pixel = bytearray(raw)
+    nan_pixel[16 + 2 * sample + 14 : 20 + 2 * sample + 14] = struct.pack("<f", float("nan"))
+    for blob, offset in ((b"ZZZZ" + raw[4:], 0), (raw[:10], 10), (raw[:-8], len(raw) - 8),
+                         (bytes(bad_label), 16 + 5 * sample),
+                         (bytes(nan_pixel), 16 + 2 * sample + 2)):
         q = tmp_path / "bad.bds"
         q.write_bytes(blob)
         with pytest.raises(FormatError) as err:

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the package's own computation paths:
 naive_forward is a float64 straight-line evaluator, plain_pgd is a
-standalone projected signed-gradient loop, and naive_conv* are plain-loop
-convolutions. They exist so package outputs are checked against code with
+standalone projected signed-gradient loop, and naive_conv_forward is a plain-loop
+convolution. They exist so package outputs are checked against code with
 no shared structure beyond the math.
 """
 
