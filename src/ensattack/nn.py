@@ -7,7 +7,7 @@ in the zoo module and are deliberately not part of the public surface.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -244,20 +244,3 @@ def input_gradient(model: Model, x: np.ndarray, upstream: np.ndarray) -> np.ndar
     acts = _forward_saved(model, x)
     dx, _ = backward(model, acts, upstream)
     return dx
-
-
-def fd_gradient(scalar_fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient oracle: (f(x+h e_i) - f(x-h e_i)) / 2h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float32)
-    flat = x.reshape(-1)
-    grad = np.zeros(flat.shape, dtype=np.float64)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + np.float32(h)
-        f_plus = float(scalar_fn(bumped.reshape(x.shape)))
-        bumped[i] = flat[i] - np.float32(h)
-        f_minus = float(scalar_fn(bumped.reshape(x.shape)))
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad.reshape(x.shape).astype(np.float32)

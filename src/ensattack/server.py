@@ -4,6 +4,12 @@ Wire protocol
 -------------
 GET /v1/meta
     200 {"num_classes": C, "mode": "soft"|"hard", "input_shape": [c, h, w]}
+GET /v1/metrics
+    200 {"requests": {status: n}, "budget_used": {client address: n},
+         "handle_ms": {"p50": ms, "p90": ms, "p99": ms, "n": n}}
+    replies sent so far by status; predict queries charged per client; and
+    handler time quantiles over the last HANDLE_WINDOW replies (null before
+    the first). Only answered requests are counted.
 POST /v1/predict
     request  {"shape": [c, h, w], "pixels": "<base64 little-endian float32>"}
     200 soft {"logits": [...]}  |  200 hard {"label": k}
@@ -12,7 +18,8 @@ POST /v1/predict
     429 {"error": "budget_exhausted"} once a client exceeds the per-client
     query budget. Replies that leave the body unread close the connection.
     A body that arrives short, or not within BODY_TIMEOUT_S, closes the
-    connection with no reply.
+    connection with no reply. A predict uses one query of the client's
+    budget only once its whole body has arrived.
 
 Pixels travel as base64-wrapped binary and logits as JSON numbers printed
 from double precision, so a float32 round trip through the wire is exact and
@@ -20,8 +27,11 @@ remote attacks can reproduce in-process trajectories bit for bit.
 """
 
 import base64
+import collections
 import json
+import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -33,6 +43,9 @@ from .oracle import check_image
 # keep-alive connections between requests are not bounded
 BODY_TIMEOUT_S = 10.0
 
+# handled requests whose handler times /v1/metrics summarises
+HANDLE_WINDOW = 1024
+
 
 def _max_body(input_shape) -> int:
     """Largest predict body a valid request for this input shape needs: the
@@ -40,15 +53,32 @@ def _max_body(input_shape) -> int:
     return 4 * -(-4 * int(np.prod(input_shape)) // 3) + 1024
 
 
+def _quantiles(samples) -> dict:
+    """Nearest-rank p50/p90/p99 of ``samples``, None when there are none."""
+    ordered = sorted(samples)
+    out = {f"p{round(q * 100)}": ordered[math.ceil(q * len(ordered)) - 1] if ordered else None
+           for q in (0.5, 0.9, 0.99)}
+    out["n"] = len(ordered)
+    return out
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "ensattack"
     protocol_version = "HTTP/1.1"
+    # _send writes the headers and the body separately; with Nagle's
+    # algorithm the body would wait for the client's delayed ACK (40 ms)
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
+        # recorded before the reply goes out, so a client never sees a reply
+        # that /v1/metrics does not count yet
+        with self.server.lock:
+            self.server.statuses[status] += 1
+            self.server.handle_ms.append((time.perf_counter() - self._started) * 1e3)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -78,12 +108,36 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return raw
 
-    def _count_request(self) -> None:
+    def _begin(self) -> None:
+        self._started = time.perf_counter()
         with self.server.lock:
             self.server.request_count += 1
 
+    def _within_budget(self, client: str, charge: bool) -> bool:
+        """Whether ``client`` has budget left; with ``charge`` a True answer
+        also uses one query of it."""
+        with self.server.lock:
+            used = self.server.budget_used.get(client, 0)
+            if self.server.budget is not None and used >= self.server.budget:
+                return False
+            if charge:
+                self.server.budget_used[client] = used + 1
+            return True
+
+    def _metrics(self) -> dict:
+        with self.server.lock:
+            statuses = dict(self.server.statuses)
+            budget_used = dict(self.server.budget_used)
+            handle_ms = list(self.server.handle_ms)
+        return {"requests": dict(sorted(statuses.items())),
+                "budget_used": budget_used,
+                "handle_ms": _quantiles(handle_ms)}
+
     def do_GET(self):
-        self._count_request()
+        self._begin()
+        if self.path == "/v1/metrics":
+            self._send(200, self._metrics())
+            return
         if self.path != "/v1/meta":
             self._send(404, {"error": "unknown path"})
             return
@@ -95,7 +149,7 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def do_POST(self):
-        self._count_request()
+        self._begin()
         if self.path != "/v1/predict":
             self._refuse(404, {"error": "unknown path"})
             return
@@ -109,16 +163,16 @@ class _Handler(BaseHTTPRequestHandler):
                                         f"{self.server.max_body} a request can need"})
             return
         client = self.client_address[0]
-        budget = self.server.budget
-        if budget is not None:
-            with self.server.lock:
-                used = self.server.budget_used.get(client, 0)
-                if used >= budget:
-                    self._refuse(429, {"error": "budget_exhausted"})
-                    return
-                self.server.budget_used[client] = used + 1
+        if not self._within_budget(client, charge=False):
+            self._refuse(429, {"error": "budget_exhausted"})
+            return
         raw = self._read_body(length)
         if raw is None:
+            return
+        if not self._within_budget(client, charge=True):
+            # a concurrent request from the same client took the last query
+            # while this body arrived; the body is read, so the connection stays
+            self._send(429, {"error": "budget_exhausted"})
             return
         try:
             body = json.loads(raw.decode("utf-8"))
@@ -182,10 +236,12 @@ def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
     httpd.model = model
     httpd.mode = mode
     httpd.budget = budget
-    httpd.budget_used = {}
     httpd.max_body = _max_body(model.input_shape)
-    httpd.lock = threading.Lock()  # guards budget_used and request_count
+    httpd.lock = threading.Lock()  # guards the four counters below
+    httpd.budget_used = {}  # predict queries charged per client address
     httpd.request_count = 0
+    httpd.statuses = collections.Counter()
+    httpd.handle_ms = collections.deque(maxlen=HANDLE_WINDOW)
     if not background:
         try:
             httpd.serve_forever()

@@ -222,6 +222,6 @@ def test_ensemble_gradient_matches_fd(fusion):
         return losses.ensemble_loss(zs, w, fusion, lk, goal)
 
     g = losses.ensemble_input_gradient(models, x, delta, w, fusion, lk, goal).astype(np.float64)
-    fd = nn.fd_gradient(lambda d: f(d - x), x + delta, 1e-3).astype(np.float64)
+    fd = util.fd_gradient(lambda d: f(d - x), x + delta, 1e-3).astype(np.float64)
     rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
     assert rel < 1e-3

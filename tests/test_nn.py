@@ -90,13 +90,13 @@ def test_relu_subgradient_at_zero_is_zero():
 
 
 def test_fd_gradient_quadratic_and_constant():
-    g = nn.fd_gradient(lambda v: float(np.sum(np.asarray(v, np.float64) ** 2)),
-                       np.array([1.0, 2.0], np.float32), 1e-3)
+    g = util.fd_gradient(lambda v: float(np.sum(np.asarray(v, np.float64) ** 2)),
+                         np.array([1.0, 2.0], np.float32), 1e-3)
     assert np.allclose(g, [2.0, 4.0], atol=1e-4)
-    g0 = nn.fd_gradient(lambda v: 3.0, np.array([1.0, 2.0], np.float32), 1e-3)
+    g0 = util.fd_gradient(lambda v: 3.0, np.array([1.0, 2.0], np.float32), 1e-3)
     assert np.array_equal(g0, [0.0, 0.0])
     with pytest.raises(ValueError):
-        nn.fd_gradient(lambda v: 0.0, np.zeros(2, np.float32), 0.0)
+        util.fd_gradient(lambda v: 0.0, np.zeros(2, np.float32), 0.0)
 
 
 @pytest.mark.parametrize("arch", [1, 2])
@@ -106,7 +106,7 @@ def test_input_gradient_matches_fd(arch):
     u = util.rand_image(50 + arch, (util.TINY_CLASSES,), "upstream") - np.float32(0.5)
     u64 = u.astype(np.float64)
     g = nn.input_gradient(m, x, u).astype(np.float64)
-    fd = nn.fd_gradient(lambda v: float(u64 @ util.naive_forward(m, v)), x, 1e-3)
+    fd = util.fd_gradient(lambda v: float(u64 @ util.naive_forward(m, v)), x, 1e-3)
     rel = np.linalg.norm(g - fd.astype(np.float64)) / max(np.linalg.norm(g), 1e-12)
     assert rel < 1e-3
 

@@ -1,7 +1,11 @@
 import base64
 import json
+import math
 import socket
+import statistics
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -117,20 +121,32 @@ def test_server_rejects_bad_requests(soft_pair):
     assert requests.get(f"{handle.url}/v1/other", timeout=5).status_code == 404
 
 
-def _raw_post_status(url, content_length):
-    """Status line and headers of a predict request that declares
-    ``content_length`` and sends no body; times out instead of hanging."""
+def _raw_post_headers(url, content_length):
+    """A loopback socket that has sent the headers of a predict request
+    declaring ``content_length``, and no body; times out instead of hanging."""
     host, port = url.rsplit("/", 1)[-1].split(":")
-    with socket.create_connection((host, int(port)), timeout=3.0) as sock:
-        sock.sendall(f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
-                     f"Content-Length: {content_length}\r\n\r\n".encode("ascii"))
-        reply = b""
-        while b"\r\n\r\n" not in reply:
-            chunk = sock.recv(4096)
-            assert chunk, "server closed the connection without a reply"
-            reply += chunk
+    sock = socket.create_connection((host, int(port)), timeout=3.0)
+    sock.sendall(f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
+                 f"Content-Length: {content_length}\r\n\r\n".encode("ascii"))
+    return sock
+
+
+def _reply_head(sock):
+    """Status and lower-cased status line and headers of the next reply."""
+    reply = b""
+    while b"\r\n\r\n" not in reply:
+        chunk = sock.recv(4096)
+        assert chunk, "server closed the connection without a reply"
+        reply += chunk
     head = reply.split(b"\r\n\r\n", 1)[0].decode("ascii").lower()
     return int(head.split()[1]), head
+
+
+def _raw_post_status(url, content_length):
+    """Reply to a predict request that declares ``content_length`` and sends
+    no body."""
+    with _raw_post_headers(url, content_length) as sock:
+        return _reply_head(sock)
 
 
 def test_server_bounds_content_length(soft_pair):
@@ -162,6 +178,94 @@ def test_server_drops_short_or_slow_body(soft_pair, monkeypatch, capsys):
     assert requests.post(f"{handle.url}/v1/predict", json=_predict_body(util.rand_image(52)),
                          timeout=5).status_code == 200
     assert capsys.readouterr().err == ""
+
+
+def test_stalled_body_uses_no_budget(monkeypatch):
+    # a query is charged once its body has arrived, so a body that never
+    # does leaves the client's whole budget for its next predict
+    monkeypatch.setattr(server, "BODY_TIMEOUT_S", 0.5)
+    with server.serve(util.tiny_model(53, 1), mode="soft", budget=1) as handle:
+        with _raw_post_headers(handle.url, 100) as sock:
+            sock.sendall(b"{")
+            assert sock.recv(4096) == b""
+        assert requests.post(f"{handle.url}/v1/predict", timeout=5,
+                             json=_predict_body(util.rand_image(53))).status_code == 200
+
+
+def test_budget_charged_when_body_arrives():
+    # A's headers pass the budget check, then B spends the last query while
+    # A's body is on its way; A's body is read, so its 429 keeps the connection
+    with server.serve(util.tiny_model(54, 1), mode="soft", budget=1) as handle:
+        body = json.dumps(_predict_body(util.rand_image(54))).encode("ascii")
+        with _raw_post_headers(handle.url, len(body)) as sock_a:
+            deadline = time.monotonic() + 3.0
+            while handle.request_count < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # A's handler is now waiting for its body
+            assert requests.post(f"{handle.url}/v1/predict", data=body,
+                                 timeout=5).status_code == 200
+            sock_a.sendall(body)
+            status, head = _reply_head(sock_a)
+        assert status == 429 and "connection: close" not in head
+
+
+def test_concurrent_predicts_never_overspend_budget():
+    # more client threads than cores race for the last queries of one
+    # client address; a lost update would answer more than `budget` with 200.
+    # A large input keeps many bodies in flight between check and charge.
+    budget, workers, each = 17, 8, 4
+    shape = (3, 64, 64)
+    body = _predict_body(util.rand_image(57, shape))
+    statuses = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with server.serve(util.const_model(shape), mode="soft", budget=budget) as handle:
+            def post_all():
+                with requests.Session() as session:
+                    got = [session.post(f"{handle.url}/v1/predict", json=body,
+                                        timeout=10).status_code for _ in range(each)]
+                statuses.extend(got)
+
+            threads = [threading.Thread(target=post_all) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            metrics = requests.get(f"{handle.url}/v1/metrics", timeout=5).json()
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(statuses) == [200] * budget + [429] * (workers * each - budget)
+    assert metrics["budget_used"] == {"127.0.0.1": budget}
+
+
+def test_keepalive_round_trip_has_no_ack_stall():
+    # headers and body go out as two writes; with Nagle's algorithm on the
+    # server socket each reply waited for the client's delayed ACK (>= 40 ms)
+    with server.serve(util.tiny_model(55, 2), mode="soft") as handle:
+        orc = client.connect(handle.url)
+        rtt = [orc.query(util.rand_image(600 + k)).latency for k in range(21)]
+    assert statistics.median(rtt) < 0.020, rtt
+
+
+def test_metrics_endpoint():
+    with server.serve(util.tiny_model(56, 0), mode="soft", budget=2) as handle:
+        orc = client.connect(handle.url)
+        orc.query(util.rand_image(700))
+        orc.query(util.rand_image(701))
+        with pytest.raises(TransportError, match="429"):
+            orc.query(util.rand_image(702))
+        assert requests.get(f"{handle.url}/v1/other", timeout=5).status_code == 404
+        r = requests.get(f"{handle.url}/v1/metrics", timeout=5)
+    assert r.status_code == 200
+    metrics = r.json()
+    assert metrics["requests"] == {"200": 3, "404": 1, "429": 1}
+    assert metrics["budget_used"] == {"127.0.0.1": 2}
+    handle_ms = metrics["handle_ms"]
+    assert handle_ms["n"] == 5
+    for q in ("p50", "p90", "p99"):
+        assert math.isfinite(handle_ms[q]) and handle_ms[q] >= 0.0, q
 
 
 def test_client_raises_transport_error_on_400(soft_pair):

@@ -1,10 +1,10 @@
 """Shared test helpers: independent oracles and tiny fixture models.
 
 The oracles here deliberately avoid the package's own computation paths:
-naive_forward is a float64 straight-line evaluator, plain_pgd is a
-standalone projected signed-gradient loop, and naive_conv_forward is a plain-loop
-convolution. They exist so package outputs are checked against code with
-no shared structure beyond the math.
+naive_forward is a float64 straight-line evaluator, fd_gradient a
+central-difference gradient, plain_pgd a standalone projected signed-gradient
+loop, and naive_conv_forward a plain-loop convolution. They exist so package
+outputs are checked against code with no shared structure beyond the math.
 """
 
 import numpy as np
@@ -49,6 +49,23 @@ def naive_forward(model, x):
         else:
             a = a.reshape(-1)
     return a
+
+
+def fd_gradient(scalar_fn, x, h):
+    """Central-difference gradient oracle: (f(x+h e_i) - f(x-h e_i)) / 2h."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float32)
+    flat = x.reshape(-1)
+    grad = np.zeros(flat.shape, dtype=np.float64)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] = flat[i] + np.float32(h)
+        f_plus = float(scalar_fn(bumped.reshape(x.shape)))
+        bumped[i] = flat[i] - np.float32(h)
+        f_minus = float(scalar_fn(bumped.reshape(x.shape)))
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad.reshape(x.shape).astype(np.float32)
 
 
 def _pgd_loss_grad(z, goal, kind, kappa):
