@@ -1,77 +1,72 @@
 """Remote oracle: the HTTP client side of the server.py wire protocol.
 
-RemoteOracle exposes the same interface as oracle.LocalOracle (query, log,
-count, num_classes, mode), so attacks run unchanged over the network.
+RemoteOracle is an oracle.Oracle whose answers come from a server, so
+attacks run unchanged over the network. Its handles share one
+requests.Session: fresh() gives a new count and log over the same
+connection. Everything the server sends is checked before it is used; a
+reply the client cannot read as the protocol says raises ProtocolError, a
+refused or failed request TransportError, and neither counts as a query.
 """
 
 import base64
-import time
 
 import numpy as np
 import requests
 
 from .errors import CapabilityError, ConfigError, ProtocolError, TransportError
-from .losses import AttackGoal
-from .oracle import OracleResponse, QueryLog, QueryRecord, image_digest, is_success
+from .oracle import Oracle
 
 
-class RemoteOracle:
+class RemoteOracle(Oracle):
     def __init__(self, url: str, num_classes: int, mode: str, input_shape: tuple,
                  session: requests.Session, timeout: float):
+        super().__init__(mode, num_classes)
         self.url = url
-        self.num_classes = num_classes
-        self.mode = mode
         self.input_shape = input_shape
-        self.log = QueryLog()
-        self.count = 0
         self._session = session
         self._timeout = timeout
 
-    def query(self, image: np.ndarray, goal: AttackGoal | None = None) -> OracleResponse:
+    def _predict(self, image):
         image = np.ascontiguousarray(image, dtype="<f4")
         body = {
             "shape": list(image.shape),
             "pixels": base64.b64encode(image.tobytes()).decode("ascii"),
         }
-        start = time.perf_counter()
         try:
             r = self._session.post(f"{self.url}/v1/predict", json=body, timeout=self._timeout)
         except requests.RequestException as exc:
             raise TransportError(f"predict request failed: {exc}", partial_log=self.log) from None
-        latency = time.perf_counter() - start
-        if r.status_code != 200:
-            detail = ""
-            try:
-                detail = r.json().get("error", "")
-            except ValueError:
-                pass
-            raise TransportError(f"predict returned {r.status_code}: {detail}",
-                                 partial_log=self.log)
         try:
             payload = r.json()
         except ValueError:
-            raise ProtocolError("predict response is not JSON", partial_log=self.log) from None
+            payload = None
+        if r.status_code != 200:
+            detail = payload.get("error", "") if isinstance(payload, dict) else ""
+            raise TransportError(f"predict returned {r.status_code}: {detail}",
+                                 partial_log=self.log)
+        if not isinstance(payload, dict):
+            raise ProtocolError("predict response is not a JSON object", partial_log=self.log)
         if self.mode == "soft":
             if "logits" not in payload:
                 raise ProtocolError("soft response missing 'logits'", partial_log=self.log)
-            # values were printed from double precision, so this cast makes
-            # the float32 round trip exact
-            z = np.asarray(payload["logits"], dtype=np.float64).astype(np.float32)
+            try:
+                # values were printed from double precision, so this cast
+                # makes the float32 round trip exact
+                z = np.asarray(payload["logits"], dtype=np.float64).astype(np.float32)
+            except (TypeError, ValueError, OverflowError):
+                raise ProtocolError("logits are not numbers", partial_log=self.log) from None
             if z.ndim != 1 or z.size != self.num_classes or not np.all(np.isfinite(z)):
                 raise ProtocolError("malformed logits", partial_log=self.log)
-            resp = OracleResponse("soft", int(np.argmax(z)), z, latency)
-        else:
-            if "label" not in payload:
-                raise ProtocolError("hard response missing 'label'", partial_log=self.log)
-            label = int(payload["label"])
-            if not 0 <= label < self.num_classes:
-                raise ProtocolError(f"label {label} out of range", partial_log=self.log)
-            resp = OracleResponse("hard", label, None, latency)
-        self.count += 1
-        self.log.append(QueryRecord(self.count, image_digest(image), resp.kind, resp.label,
-                                    None if goal is None else is_success(resp.label, goal),
-                                    time.time()))
-        return resp
+            return int(np.argmax(z)), z
+        if "label" not in payload:
+            raise ProtocolError("hard response missing 'label'", partial_log=self.log)
+        label = payload["label"]
+        # bool is an int subclass, and int() would truncate 1.7 to 1
+        if type(label) is not int:
+            raise ProtocolError(f"label {label!r} is not an integer", partial_log=self.log)
+        if not 0 <= label < self.num_classes:
+            raise ProtocolError(f"label {label} out of range", partial_log=self.log)
+        return label, None
 
 
 def connect(url: str, require_mode: str | None = None, expect_classes: int | None = None,

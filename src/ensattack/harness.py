@@ -8,7 +8,7 @@ repeated runs produce byte-identical files.
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -168,16 +168,7 @@ def summarize(records, max_queries: int, skipped: int = 0) -> MetricsSummary:
 
 
 def summary_to_json(summary: MetricsSummary) -> str:
-    payload = {
-        "attempted": summary.attempted,
-        "skipped": summary.skipped,
-        "fooling_rate": summary.fooling_rate,
-        "failures": summary.failures,
-        "queries_all": summary.queries_all,
-        "queries_success": summary.queries_success,
-        "per_image": summary.per_image,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(summary), sort_keys=True, indent=2) + "\n"
 
 
 def success_curve(records, max_queries: int):
@@ -209,7 +200,6 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
                   for sid in cfg.surrogate_ids]
 
     victim_model = None
-    victim_url = None
     if "model_id" in cfg.victim:
         vid = cfg.victim["model_id"]
         if vid not in by_id:
@@ -218,22 +208,17 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
             raise ConfigError(f"victim {vid!r} is also a surrogate; "
                               "set allow_victim_overlap to permit this")
         victim_model = zoo.load_model(os.path.join(zoo_dir, by_id[vid]["file"]))
-    else:
-        victim_url = cfg.victim["url"]
 
     goal_mode = cfg.goal_policy["mode"]
     policy = cfg.goal_policy.get("policy")
     provided = cfg.goal_policy.get("label")
     search_cfg = build_search_config(cfg.search, cfg.pm)
 
-    # screening handle: clean-image predictions for the skip rule and for
-    # confidence-based target policies; separate from the per-image attack
-    # handles so q_used counts attack queries only
-    if victim_url is not None:
-        screen = connect(victim_url, require_mode="soft")
-        clean_logits = lambda img: screen.query(img).logits
-    else:
-        clean_logits = lambda img: nn.forward(victim_model, img)
+    # one victim handle per run: it screens the clean images (the skip rule
+    # and confidence-based target policies), and each attack gets a fresh()
+    # copy over the same connection so q_used counts that image's queries only
+    victim = (LocalOracle(victim_model, "soft") if victim_model is not None
+              else connect(cfg.victim["url"], require_mode="soft"))
 
     test = dataset.test_split()
     limit = len(test) if cfg.max_images is None else min(cfg.max_images, len(test))
@@ -244,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
     for i in range(limit):
         img = test.images[i]
         y = int(test.labels[i])
-        z_clean = clean_logits(img)
+        z_clean = victim.query(img).logits
         if int(np.argmax(z_clean)) != y:
             skipped += 1
             continue
@@ -259,10 +244,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
                 continue
             goal = AttackGoal("targeted", target)
 
-        oracle = (connect(victim_url, require_mode="soft") if victim_url is not None
-                  else LocalOracle(victim_model, "soft"))
         per_image = replace(search_cfg, order_seed=_derive_seed(cfg.seed, f"image/{i}/order"))
-        outcome = bases_attack(img, goal, oracle, surrogates, per_image)
+        outcome = bases_attack(img, goal, victim.fresh(), surrogates, per_image)
         export_query_log_csv(outcome, os.path.join(cfg.output_dir, "query_logs",
                                                    f"image_{i:04d}.csv"))
         records.append({

@@ -1,13 +1,16 @@
-"""Blackbox victim oracles: uniform query interface over in-process models.
+"""Blackbox victim oracles: one query interface over every transport.
 
-An oracle owns its QueryLog and query counter; every call to query() appends
-exactly one entry. The remote HTTP backend in client.py implements the same
-interface, so attack code never knows which transport it is talking to.
+Oracle.query is the only place queries are counted and logged: every answered
+call adds one to ``count`` and appends exactly one QueryRecord to ``log``.
+Subclasses only say how a label (and logits) are obtained: LocalOracle runs
+an in-process model, client.RemoteOracle posts to a server, so attack code
+never knows which transport it is talking to.
 """
 
+import copy
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +37,6 @@ class QueryRecord:
     wall_time: float
 
 
-@dataclass
-class QueryLog:
-    entries: list = field(default_factory=list)
-
-    def append(self, record: QueryRecord) -> None:
-        self.entries.append(record)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def image_digest(image: np.ndarray) -> str:
     data = np.ascontiguousarray(image, dtype="<f4").tobytes()
     return hashlib.sha256(data).hexdigest()[:16]
@@ -71,36 +60,53 @@ def check_image(image: np.ndarray) -> np.ndarray:
     return image
 
 
-class LocalOracle:
-    """In-process victim; mode "soft" returns logits, "hard" only a label."""
+class Oracle:
+    """A victim answering queries in mode "soft" (logits) or "hard" (label
+    only). Subclasses implement _predict(image) -> (label, logits or None)
+    and raise before answering when the query cannot be answered."""
 
-    def __init__(self, model: nn.Model, mode: str = "soft"):
+    def __init__(self, mode: str, num_classes: int):
         if mode not in ("soft", "hard"):
             raise ValueError(f"unknown oracle mode {mode!r}")
-        self.model = model
         self.mode = mode
-        self.log = QueryLog()
+        self.num_classes = num_classes
         self.count = 0
+        self.log = []  # one QueryRecord per answered query
 
-    @property
-    def num_classes(self) -> int:
-        return self.model.num_classes
+    def _predict(self, image):
+        raise NotImplementedError
+
+    def fresh(self):
+        """The same victim, over the same connection, with its own count
+        and log starting from zero."""
+        other = copy.copy(self)
+        other.count = 0
+        other.log = []
+        return other
 
     def query(self, image: np.ndarray, goal: AttackGoal | None = None) -> OracleResponse:
-        image = check_image(image)
         start = time.perf_counter()
-        z = nn.forward(self.model, image)
-        label = int(np.argmax(z))
+        label, logits = self._predict(image)
         latency = time.perf_counter() - start
-        if self.mode == "soft":
-            resp = OracleResponse("soft", label, z, latency)
-        else:
-            resp = OracleResponse("hard", label, None, latency)
+        resp = OracleResponse(self.mode, label, logits if self.mode == "soft" else None,
+                              latency)
         self.count += 1
-        self.log.append(QueryRecord(self.count, image_digest(image), resp.kind, label,
+        self.log.append(QueryRecord(self.count, image_digest(image), self.mode, label,
                                     None if goal is None else is_success(label, goal),
                                     time.time()))
         return resp
+
+
+class LocalOracle(Oracle):
+    """In-process victim model."""
+
+    def __init__(self, model: nn.Model, mode: str = "soft"):
+        super().__init__(mode, model.num_classes)
+        self.model = model
+
+    def _predict(self, image):
+        z = nn.forward(self.model, check_image(image))
+        return int(np.argmax(z)), z
 
 
 def require_soft(oracle) -> None:

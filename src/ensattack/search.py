@@ -73,7 +73,7 @@ class AttackOutcome:
     w_final: np.ndarray | None
     events: list = field(default_factory=list)  # QueryEvent per victim query
     trajectory: list = field(default_factory=list)  # IterationRecord per outer iteration
-    log: object = None  # the oracle's QueryLog when one was involved
+    log: list | None = None  # the oracle's QueryRecord log when one was involved
 
 
 def normalize_weights(v) -> np.ndarray:

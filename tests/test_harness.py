@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import util
-from ensattack import harness, nn, pm, zoo
+from ensattack import harness, nn, pm, server, zoo
 from ensattack.errors import ConfigError
 from ensattack.prng import stream
 
@@ -175,25 +175,34 @@ def test_run_experiment_artifacts_and_replay(zoo_dir, tmp_path):
     assert payload["fooling_rate"] == summary.fooling_rate
 
 
+def _artifacts(out_dir):
+    """Every file an experiment wrote, by path relative to ``out_dir``."""
+    logs = os.listdir(os.path.join(out_dir, "query_logs"))
+    files = {}
+    for rel in ["summary.json", "success_curve.csv"] + [os.path.join("query_logs", n) for n in logs]:
+        with open(os.path.join(out_dir, rel), "rb") as fh:
+            files[rel] = fh.read()
+    return files
+
+
 def test_run_experiment_byte_identical(zoo_dir, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     harness.run_experiment(_experiment_cfg(zoo_dir, out1))
     harness.run_experiment(_experiment_cfg(zoo_dir, out2))
-    for rel in ("summary.json", "success_curve.csv"):
-        with open(os.path.join(out1, rel), "rb") as fh:
-            b1 = fh.read()
-        with open(os.path.join(out2, rel), "rb") as fh:
-            b2 = fh.read()
-        assert b1 == b2, rel
-    logs1 = sorted(os.listdir(os.path.join(out1, "query_logs")))
-    logs2 = sorted(os.listdir(os.path.join(out2, "query_logs")))
-    assert logs1 == logs2
-    for name in logs1:
-        with open(os.path.join(out1, "query_logs", name), "rb") as fh:
-            c1 = fh.read()
-        with open(os.path.join(out2, "query_logs", name), "rb") as fh:
-            c2 = fh.read()
-        assert c1 == c2, name
+    assert _artifacts(out1) == _artifacts(out2)
+
+
+def test_run_experiment_served_victim(zoo_dir, zoo_bundle, tmp_path):
+    # the same experiment against the victim served over HTTP writes the
+    # same bytes, over one handshake and one request per victim query
+    local, served = str(tmp_path / "local"), str(tmp_path / "served")
+    summary = harness.run_experiment(_experiment_cfg(zoo_dir, local))
+    with server.serve(zoo_bundle[2]["victim-mlp"], mode="soft") as handle:
+        harness.run_experiment(_experiment_cfg(zoo_dir, served, victim={"url": handle.url}))
+        n_requests = handle.request_count
+    assert _artifacts(served) == _artifacts(local)
+    screened = summary.attempted + summary.skipped
+    assert n_requests == 1 + screened + sum(r["q_used"] for r in summary.per_image)
 
 
 def test_run_experiment_victim_overlap_guard(zoo_dir, tmp_path):

@@ -60,6 +60,19 @@ def test_log_records_goal_success():
     assert flags == [None, True, False]
 
 
+def test_fresh_handle_counts_from_zero():
+    m = util.tiny_model(28, 1)
+    orc = oracle.LocalOracle(m)
+    orc.query(util.rand_image(28))
+    other = orc.fresh()
+    assert other.model is m and other.mode == orc.mode
+    assert other.count == 0 and len(other.log) == 0
+    x = util.rand_image(29)
+    assert np.array_equal(other.query(x).logits, nn.forward(m, x))
+    assert other.count == 1 and [e.index for e in other.log] == [1]
+    assert orc.count == 1 and len(orc.log) == 1
+
+
 def test_image_digest_stability():
     x = util.rand_image(25)
     assert oracle.image_digest(x) == oracle.image_digest(x.copy())

@@ -56,7 +56,7 @@ def test_remote_log_matches_local_interface(soft_pair):
     goal = util.targeted(1)
     resp = orc.query(x, goal)
     assert orc.count == 1 and len(orc.log) == 1
-    rec = orc.log.entries[0]
+    rec = orc.log[0]
     assert rec.digest == oracle.image_digest(x)
     assert rec.success == oracle.is_success(resp.label, goal)
 
@@ -68,6 +68,19 @@ def test_request_count_includes_meta():
         for k in range(3):
             orc.query(util.rand_image(200 + k))
         assert handle.request_count == 4
+
+
+def test_fresh_handle_skips_the_handshake():
+    model = util.tiny_model(42, 1)
+    with server.serve(model, mode="soft") as handle:
+        orc = client.connect(handle.url)
+        orc.query(util.rand_image(210))
+        other = orc.fresh()
+        other.query(util.rand_image(211))
+        other.query(util.rand_image(212))
+        assert handle.request_count == 4
+        assert other._session is orc._session and other.count == 2
+        assert orc.count == 1 and len(orc.log) == 1
 
 
 def test_hard_server_returns_label_only():
@@ -296,12 +309,13 @@ def test_capability_and_config_checks():
 class _RogueHandler(BaseHTTPRequestHandler):
     meta = b""
     predict = b""
+    predict_status = 200
 
     def log_message(self, fmt, *args):
         pass
 
-    def _reply(self, body):
-        self.send_response(200)
+    def _reply(self, body, status=200):
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -311,11 +325,12 @@ class _RogueHandler(BaseHTTPRequestHandler):
         self._reply(self.meta)
 
     def do_POST(self):
-        self._reply(self.predict)
+        self._reply(self.predict, self.predict_status)
 
 
-def _rogue(meta, predict=b"{}"):
-    handler = type("H", (_RogueHandler,), {"meta": meta, "predict": predict})
+def _rogue(meta, predict=b"{}", predict_status=200):
+    handler = type("H", (_RogueHandler,), {"meta": meta, "predict": predict,
+                                           "predict_status": predict_status})
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=httpd.serve_forever, daemon=True).start()
     return httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
@@ -337,29 +352,38 @@ def test_rogue_meta_raises_protocol_error():
         httpd2.shutdown()
 
 
+def _rogue_predict_fails(mode, predict, error, predict_status=200):
+    """A query to a server that answers predict with ``predict`` raises
+    ``error``, carries the log so far and is not counted."""
+    meta = json.dumps({"num_classes": 4, "mode": mode, "input_shape": [1, 6, 6]}).encode()
+    httpd, url = _rogue(meta, predict, predict_status)
+    try:
+        orc = client.connect(url)
+        with pytest.raises(error) as err:
+            orc.query(util.rand_image(48))
+        assert err.value.partial_log is orc.log
+        assert orc.count == 0
+        return err.value
+    finally:
+        httpd.shutdown()
+
+
 def test_rogue_predict_raises_protocol_error():
-    meta = json.dumps({"num_classes": 4, "mode": "soft", "input_shape": [1, 6, 6]}).encode()
-    for predict in (b"{}", b"garbage", json.dumps({"logits": [1.0, 2.0]}).encode(),
-                    json.dumps({"logits": [1.0, None, 2.0, 3.0]}).encode()):
-        httpd, url = _rogue(meta, predict)
-        try:
-            orc = client.connect(url)
-            with pytest.raises(ProtocolError):
-                orc.query(util.rand_image(48))
-            assert orc.count == 0
-        finally:
-            httpd.shutdown()
+    for payload in ({}, {"logits": [1.0, 2.0]}, {"logits": [1.0, None, 2.0, 3.0]},
+                    {"logits": ["a", "b", "c", "d"]}, {"logits": "abcd"},
+                    {"logits": {"0": 1.0}}, {"logits": [[1.0, 2.0, 3.0, 4.0]]},
+                    [1.0, 2.0, 3.0, 4.0]):
+        _rogue_predict_fails("soft", json.dumps(payload).encode(), ProtocolError)
+    _rogue_predict_fails("soft", b"garbage", ProtocolError)
+    # a refusal is a transport error whatever JSON its body holds
+    err = _rogue_predict_fails("soft", b"[1, 2]", TransportError, predict_status=500)
+    assert type(err) is TransportError and "500" in str(err)
 
 
 def test_rogue_hard_label_out_of_range():
-    meta = json.dumps({"num_classes": 4, "mode": "hard", "input_shape": [1, 6, 6]}).encode()
-    httpd, url = _rogue(meta, json.dumps({"label": 9}).encode())
-    try:
-        orc = client.connect(url)
-        with pytest.raises(ProtocolError):
-            orc.query(util.rand_image(49))
-    finally:
-        httpd.shutdown()
+    for label in (9, -1, "x", None, 1.7, True, 1.0, [1]):
+        _rogue_predict_fails("hard", json.dumps({"label": label}).encode(), ProtocolError)
+    _rogue_predict_fails("hard", b"{}", ProtocolError)
 
 
 def test_serve_mode_validation():

@@ -11,7 +11,7 @@ import numpy as np
 
 from ensattack import nn
 from ensattack.losses import AttackGoal
-from ensattack.oracle import OracleResponse, QueryLog, QueryRecord, image_digest, is_success
+from ensattack.oracle import Oracle
 from ensattack.prng import stream
 
 
@@ -161,36 +161,32 @@ def rand_image(seed, shape=TINY_SHAPE, tag="image"):
 # scripted oracle
 
 
-class ScriptedOracle:
+class ScriptedOracle(Oracle):
     """Soft oracle that fails the goal until call number ``succeed_at``.
 
     Logits are crafted per query from the goal, so tests control exactly
-    which query succeeds; mirrors the LocalOracle interface (mode, log,
-    count, num_classes).
+    which query succeeds; counting and logging are oracle.Oracle's own.
     """
 
-    mode = "soft"
-
     def __init__(self, num_classes, succeed_at=None):
-        self.num_classes = num_classes
+        super().__init__("soft", num_classes)
         self.succeed_at = succeed_at
-        self.log = QueryLog()
-        self.count = 0
+        self._goal = None
 
     def query(self, image, goal=None):
-        self.count += 1
+        self._goal = goal
+        return super().query(image, goal)
+
+    def _predict(self, image):
         z = np.zeros(self.num_classes, dtype=np.float32)
-        winner = self.count == self.succeed_at
+        winner = self.count + 1 == self.succeed_at
+        goal = self._goal
         if goal is not None:
             if goal.mode == "targeted":
                 z[goal.label] = np.float32(1.0 if winner else -1.0)
             else:
                 z[goal.label] = np.float32(-1.0 if winner else 1.0)
-        resp = OracleResponse("soft", int(np.argmax(z)), z, 0.0)
-        self.log.append(QueryRecord(self.count, image_digest(np.asarray(image, np.float32)),
-                                    "soft", resp.label,
-                                    None if goal is None else is_success(resp.label, goal), 0.0))
-        return resp
+        return int(np.argmax(z)), z
 
 
 def targeted(label):
