@@ -80,7 +80,8 @@ _ALL_KEYS = _REQUIRED_KEYS + ("search", "pm", "seed", "max_images", "allow_victi
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
-    """Validates the JSON experiment dict; unknown keys are errors."""
+    """Validates the JSON experiment dict, its search and pm settings
+    included, before any file is read; unknown keys are errors."""
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
     unknown = set(raw) - set(_ALL_KEYS)
@@ -91,10 +92,22 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"missing config keys: {missing}")
     cfg = ExperimentConfig(**raw)
 
-    if not isinstance(cfg.surrogate_ids, list) or not cfg.surrogate_ids:
-        raise ConfigError("surrogate_ids must be a nonempty list")
+    for key in ("dataset", "zoo_manifest", "output_dir"):
+        if not isinstance(getattr(cfg, key), str):
+            raise ConfigError(f"{key} must be a path string, got {getattr(cfg, key)!r}")
+    if not isinstance(cfg.surrogate_ids, list) or not cfg.surrogate_ids or \
+            not all(isinstance(sid, str) for sid in cfg.surrogate_ids):
+        raise ConfigError("surrogate_ids must be a nonempty list of model id strings")
+    if type(cfg.seed) is not int:
+        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
+    if cfg.max_images is not None and (type(cfg.max_images) is not int or cfg.max_images < 1):
+        raise ConfigError(f"max_images must be a positive integer or null, got {cfg.max_images!r}")
+    if not isinstance(cfg.allow_victim_overlap, bool):
+        raise ConfigError(f"allow_victim_overlap must be true or false, "
+                          f"got {cfg.allow_victim_overlap!r}")
     if not isinstance(cfg.victim, dict) or len(cfg.victim) != 1 or \
-            next(iter(cfg.victim)) not in ("model_id", "url"):
+            next(iter(cfg.victim)) not in ("model_id", "url") or \
+            not isinstance(next(iter(cfg.victim.values())), str):
         raise ConfigError("victim must be {'model_id': ...} or {'url': ...}")
     goal = cfg.goal_policy
     if not isinstance(goal, dict) or goal.get("mode") not in ("targeted", "untargeted"):
@@ -107,10 +120,13 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         extra = set(goal) - {"mode"}
     if extra:
         raise ConfigError(f"unknown goal_policy keys: {sorted(extra)}")
+    build_search_config(cfg.search, cfg.pm)
     return cfg
 
 
 def build_search_config(search: dict, pm: dict) -> SearchConfig:
+    if not isinstance(search, dict) or not isinstance(pm, dict):
+        raise ConfigError("search and pm must be JSON objects")
     if "order_seed" in search:
         raise ConfigError("search.order_seed is not a config key: each image's "
                           "coordinate order derives from the experiment seed")

@@ -6,7 +6,7 @@ for gradients w.r.t. the input; parameter gradients exist for the trainer
 in the zoo module and are deliberately not part of the public surface.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -60,31 +60,41 @@ class Flatten:
 LayerSpec = Dense | Conv2d | Relu | Flatten
 
 
-def layer_to_dict(layer: LayerSpec) -> dict:
-    if isinstance(layer, Dense):
-        return {"kind": "dense", "in_features": layer.in_features, "out_features": layer.out_features}
-    if isinstance(layer, Conv2d):
-        return {
-            "kind": "conv2d",
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "kernel_size": layer.kernel_size,
-            "stride": layer.stride,
-        }
-    return {"kind": layer.kind}
+# the dict form of a layer is its dataclass fields, "kind" included
+layer_to_dict = asdict
+
+_LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, Relu, Flatten)}
 
 
-def layer_from_dict(d: dict) -> LayerSpec:
+def layer_from_dict(d) -> LayerSpec:
+    """The layer a ``layer_to_dict`` dict describes. Sizes must be JSON
+    integers (not floats, bools or strings); a missing conv stride is 1."""
+    if not isinstance(d, dict):
+        raise LayerSpecError(f"layer entry must be an object, got {d!r}")
     kind = d.get("kind")
-    if kind == "dense":
-        return Dense(int(d["in_features"]), int(d["out_features"]))
-    if kind == "conv2d":
-        return Conv2d(int(d["in_channels"]), int(d["out_channels"]), int(d["kernel_size"]), int(d.get("stride", 1)))
-    if kind == "relu":
-        return Relu()
-    if kind == "flatten":
-        return Flatten()
-    raise LayerSpecError(f"unknown layer kind: {kind!r}")
+    cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise LayerSpecError(f"unknown layer kind: {kind!r}")
+    sizes = {}
+    for f in fields(cls):
+        if f.name == "kind" or (f.name not in d and f.default is not MISSING):
+            continue
+        value = d.get(f.name)
+        if type(value) is not int:
+            raise LayerSpecError(f"{cls.kind} {f.name} must be an integer, got {value!r}")
+        sizes[f.name] = value
+    return cls(**sizes)
+
+
+def param_shapes(layer: LayerSpec) -> tuple:
+    """Shapes of a layer's parameter group: (weight, bias) for dense and
+    conv layers, none for relu and flatten."""
+    if isinstance(layer, Dense):
+        return ((layer.out_features, layer.in_features), (layer.out_features,))
+    if isinstance(layer, Conv2d):
+        k = layer.kernel_size
+        return ((layer.out_channels, layer.in_channels, k, k), (layer.out_channels,))
+    return ()
 
 
 def output_shape(layer: LayerSpec, in_shape: tuple) -> tuple:
@@ -126,9 +136,9 @@ def compose_shapes(layers: Sequence[LayerSpec], input_shape: tuple) -> list:
 class Model:
     """An immutable classifier: layer specs plus per-layer parameters.
 
-    Parameters are stored in declaration order; dense and conv layers own a
-    (weight, bias) pair, relu/flatten own nothing. Arrays are frozen after
-    construction so models are safe to share across threads.
+    Parameters are stored in declaration order, one group per layer, each
+    shaped as ``param_shapes`` states. Arrays are frozen after construction
+    so models are safe to share across threads.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], params: Sequence[tuple], input_shape: tuple,
@@ -143,10 +153,16 @@ class Model:
                 f"stack emits {self.shapes[-1][0]} logits but num_classes={num_classes}")
         self.num_classes = int(num_classes)
         self.model_id = model_id
+        if len(params) != len(self.layers):
+            raise LayerSpecError(f"{len(self.layers)} layers but {len(params)} parameter groups")
         frozen = []
-        for layer, p in zip(self.layers, params, strict=True):
+        for layer, p in zip(self.layers, params):
             # copy so freezing never aliases caller-owned arrays
             group = tuple(np.array(a, dtype=np.float32, order="C") for a in p)
+            shapes, wanted = tuple(a.shape for a in group), param_shapes(layer)
+            if shapes != wanted:
+                raise LayerSpecError(f"{layer.kind} parameters have shapes {shapes}, "
+                                     f"expected {wanted}")
             for a in group:
                 a.flags.writeable = False
             frozen.append(group)

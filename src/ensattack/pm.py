@@ -45,8 +45,8 @@ class PMConfig:
     fusion: str = "weighted_loss"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if type(self.steps) is not int or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive")
 

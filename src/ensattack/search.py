@@ -31,8 +31,8 @@ class SearchConfig:
     select_rule: str = "monotone_three_way"  # or "paper_two_way"
 
     def __post_init__(self):
-        if self.max_queries < 1:
-            raise ValueError("max_queries must be >= 1")
+        if type(self.max_queries) is not int or self.max_queries < 1:
+            raise ValueError(f"max_queries must be an integer >= 1, got {self.max_queries!r}")
         if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
         if self.order not in ("cyclic", "random"):
@@ -73,7 +73,6 @@ class AttackOutcome:
     w_final: np.ndarray | None
     events: list = field(default_factory=list)  # QueryEvent per victim query
     trajectory: list = field(default_factory=list)  # IterationRecord per outer iteration
-    log: list | None = None  # the oracle's QueryRecord log when one was involved
 
 
 def normalize_weights(v) -> np.ndarray:
@@ -189,18 +188,18 @@ def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> 
 
     trajectory, success, delta, w = _coordinate_search(x, goal, surrogates, cfg,
                                                        cfg.max_queries, ask)
-    return AttackOutcome(success, delta, len(events), w, events, trajectory,
-                         getattr(oracle, "log", None))
+    return AttackOutcome(success, delta, len(events), w, events, trajectory)
 
 
 def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
-                             delta_init, cfg: SearchConfig, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient of the victim loss w.r.t. the weights.
+                             delta_init, cfg: SearchConfig) -> np.ndarray:
+    """Central-difference gradient of the victim loss w.r.t. the weights,
+    with step cfg.resolved_eta(N).
 
     Each probe evaluates L_v at the PM output for the renormalized candidate
     weight vector, warm-started from the same delta_init (2N PM runs)."""
     n = len(surrogates)
-    h = h if h is not None else cfg.resolved_eta(n)
+    h = cfg.resolved_eta(n)
     grad = np.zeros(n)
     for i in range(n):
         w_plus, w_minus = coordinate_pair(w, i, h)
@@ -213,8 +212,7 @@ def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
 
 
 def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
-                           cfg: SearchConfig, iterations: int | None = None,
-                           fd_step: float | None = None) -> AttackOutcome:
+                           cfg: SearchConfig, iterations: int | None = None) -> AttackOutcome:
     """Whitebox reference: full weight-gradient steps instead of queries.
 
     Per iteration the victim-loss gradient w.r.t. w is estimated by central
@@ -247,7 +245,7 @@ def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
         return AttackOutcome(True, delta, 0, w, [], trajectory)
 
     for it in range(1, iterations + 1):
-        g = estimate_weight_gradient(x, goal, victim_model, surrogates, w, delta, cfg, fd_step)
+        g = estimate_weight_gradient(x, goal, victim_model, surrogates, w, delta, cfg)
         scale = float(np.abs(g).max())
         if scale > 0.0:
             w = normalize_weights(w - eta * (g / scale))
@@ -285,11 +283,9 @@ def hardlabel_attack(x, goal: AttackGoal, queryset, hard_oracle) -> AttackOutcom
         ok = is_success(resp.label, goal)
         events.append(QueryEvent(k, -1, "queryset", _victim_loss(resp, goal, LossKind()), ok))
         if ok:
-            return AttackOutcome(True, delta, k, None, events, [],
-                                 getattr(hard_oracle, "log", None))
+            return AttackOutcome(True, delta, k, None, events, [])
     last = queryset[-1] if queryset else np.zeros_like(x)
-    return AttackOutcome(False, last, len(queryset), None, events, [],
-                         getattr(hard_oracle, "log", None))
+    return AttackOutcome(False, last, len(queryset), None, events, [])
 
 
 def export_query_log_csv(outcome: AttackOutcome, path) -> None:

@@ -225,9 +225,9 @@ class ServerHandle:
 
 
 def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
-          budget: int | None = None, background: bool = True):
-    """Starts the server. With background=True (default) returns a
-    ServerHandle whose .url is ready for connect(); otherwise blocks."""
+          budget: int | None = None) -> ServerHandle:
+    """Starts the server on a background thread and returns a ServerHandle
+    whose .url is ready for connect()."""
     if mode not in ("soft", "hard"):
         raise ValueError(f"unknown mode {mode!r}")
     host, _, port = bind.rpartition(":")
@@ -242,12 +242,6 @@ def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
     httpd.request_count = 0
     httpd.statuses = collections.Counter()
     httpd.handle_ms = collections.deque(maxlen=HANDLE_WINDOW)
-    if not background:
-        try:
-            httpd.serve_forever()
-        finally:
-            httpd.server_close()
-        return None
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     return ServerHandle(httpd, thread)

@@ -18,6 +18,7 @@ Dataset file (magic ``BDS1``):
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -76,18 +77,20 @@ class LabeledDataset:
         return LabeledDataset(self.images[idx], self.labels[idx], self.num_classes, self.side)
 
 
+BATCH_SIZE = 16
+WEIGHT_DECAY = 1e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     learning_rate: float = 0.1
-    batch_size: int = 16
     seed: int = 0
-    weight_decay: float = 1e-4
     clip_norm: float = 5.0  # global grad-norm clip per batch; 0 disables
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
 
 
 def _bilinear_upsample(grid: np.ndarray, side: int) -> np.ndarray:
@@ -136,20 +139,13 @@ def build_model(layers, input_shape, num_classes: int, seed: int, model_id: str 
     nn.compose_shapes(layers, input_shape)
     params = []
     for idx, layer in enumerate(layers):
-        if isinstance(layer, nn.Dense):
-            bound = 1.0 / np.sqrt(layer.in_features)
-            w = stream(seed, f"init/{model_id}/{idx}/w").uniform(
-                (layer.out_features, layer.in_features), -bound, bound)
-            params.append((w, np.zeros(layer.out_features, dtype=np.float32)))
-        elif isinstance(layer, nn.Conv2d):
-            fan_in = layer.in_channels * layer.kernel_size ** 2
-            bound = 1.0 / np.sqrt(fan_in)
-            w = stream(seed, f"init/{model_id}/{idx}/w").uniform(
-                (layer.out_channels, layer.in_channels, layer.kernel_size, layer.kernel_size),
-                -bound, bound)
-            params.append((w, np.zeros(layer.out_channels, dtype=np.float32)))
-        else:
+        if not nn.param_shapes(layer):
             params.append(())
+            continue
+        w_shape, b_shape = nn.param_shapes(layer)
+        bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))
+        w = stream(seed, f"init/{model_id}/{idx}/w").uniform(w_shape, -bound, bound)
+        params.append((w, np.zeros(b_shape, dtype=np.float32)))
     return nn.Model(layers, params, input_shape, num_classes, model_id)
 
 
@@ -171,13 +167,12 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
         raise ValueError("dataset is empty")
     params = [tuple(a.copy() for a in group) for group in model.params]
     lr = cfg.learning_rate
-    wd = cfg.weight_decay
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = stream(cfg.seed, f"shuffle/{epoch}").permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
             work = model.with_params(params)
             grads = [tuple(np.zeros_like(a) for a in group) for group in params]
             for j in batch:
@@ -195,7 +190,7 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
                 if gnorm > cfg.clip_norm:
                     inv *= cfg.clip_norm / gnorm
             scale = np.float32(lr * inv)
-            decay = np.float32(lr * wd)
+            decay = np.float32(lr * WEIGHT_DECAY)
             for group, gi in zip(params, grads):
                 for a, acc in zip(group, gi):
                     a -= scale * acc + decay * a
@@ -255,28 +250,21 @@ def load_model(path) -> nn.Model:
     try:
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
         layers = [nn.layer_from_dict(d) for d in header["spec"]["layers"]]
-        input_shape = tuple(int(d) for d in header["spec"]["input_shape"])
-        num_classes = int(header["num_classes"])
+        input_shape = tuple(header["spec"]["input_shape"])
+        num_classes = header["num_classes"]
+        if not all(type(d) is int for d in (*input_shape, num_classes)):
+            raise ValueError(f"input_shape {list(input_shape)} and num_classes "
+                             f"{num_classes!r} must be integers")
         model_id = header["id"]
-        shapes = nn.compose_shapes(layers, input_shape)
+        nn.compose_shapes(layers, input_shape)
     except (ValueError, KeyError, TypeError, LayerSpecError) as exc:
         raise FormatError(f"unreadable header: {exc}", offset=8) from None
     offset = 8 + hlen
     params = []
-    for layer, in_shape in zip(layers, shapes[:-1]):
-        if isinstance(layer, nn.Dense):
-            wanted = [(layer.out_features, layer.in_features), (layer.out_features,)]
-        elif isinstance(layer, nn.Conv2d):
-            wanted = [
-                (layer.out_channels, layer.in_channels, layer.kernel_size, layer.kernel_size),
-                (layer.out_channels,),
-            ]
-        else:
-            params.append(())
-            continue
+    for layer in layers:
         group = []
-        for shape in wanted:
-            nbytes = int(np.prod(shape)) * 4
+        for shape in nn.param_shapes(layer):
+            nbytes = math.prod(shape) * 4
             if offset + nbytes > len(raw):
                 raise FormatError("truncated parameter data", offset=len(raw))
             group.append(np.frombuffer(raw[offset : offset + nbytes], dtype="<f4").reshape(shape))
@@ -290,13 +278,21 @@ def load_model(path) -> nn.Model:
         raise FormatError(f"unreadable header: {exc}", offset=8) from None
 
 
+def _record_dtype(side: int) -> np.dtype:
+    """One dataset sample as stored: a u16le label, then the pixels."""
+    return np.dtype([("label", "<u2"), ("pixels", "<f4", (side, side))])
+
+
 def save_dataset(dataset: LabeledDataset, path) -> None:
+    if len(dataset) and not 0 <= dataset.labels.min() <= dataset.labels.max() <= 0xFFFF:
+        raise ValueError("labels must fit in an unsigned 16-bit field")
+    records = np.empty(len(dataset), dtype=_record_dtype(dataset.side))
+    records["label"] = dataset.labels
+    records["pixels"] = dataset.images.reshape(len(dataset), dataset.side, dataset.side)
     with open(path, "wb") as fh:
         fh.write(_MAGIC_DATA)
         fh.write(struct.pack("<III", len(dataset), dataset.num_classes, dataset.side))
-        for img, label in zip(dataset.images, dataset.labels):
-            fh.write(struct.pack("<H", int(label)))
-            fh.write(np.ascontiguousarray(img, dtype="<f4").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_dataset(path) -> LabeledDataset:
@@ -310,14 +306,12 @@ def load_dataset(path) -> LabeledDataset:
     sample_bytes = 2 + side * side * 4
     if len(raw) != 16 + count * sample_bytes:
         raise FormatError("payload size does not match counts", offset=len(raw))
-    images = np.empty((count, 1, side, side), dtype=np.float32)
-    labels = np.empty(count, dtype=np.int64)
-    offset = 16
-    for i in range(count):
-        (labels[i],) = struct.unpack("<H", raw[offset : offset + 2])
-        offset += 2
-        images[i, 0] = np.frombuffer(raw[offset : offset + side * side * 4], dtype="<f4").reshape(side, side)
-        offset += side * side * 4
+    try:
+        records = np.frombuffer(raw, dtype=_record_dtype(side), offset=16)
+    except ValueError:  # only an empty file can claim a side this large
+        raise FormatError(f"side {side} is too large", offset=12) from None
+    labels = records["label"].astype(np.int64)
+    images = records["pixels"].reshape(count, 1, side, side).astype(np.float32)
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
         i = int(bad[0])
@@ -405,10 +399,6 @@ def surrogate_ids(manifest: dict):
     return [m["id"] for m in manifest["models"] if not m["id"].startswith("victim-")]
 
 
-def victim_ids(manifest: dict):
-    return [m["id"] for m in manifest["models"] if m["id"].startswith("victim-")]
-
-
 def save_manifest(manifest: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -465,10 +455,11 @@ def build_zoo(zoo_dir, num_classes: int = 8, per_class: int = 25, side: int = 12
     return manifest
 
 
-def train_zoo(zoo_dir, cfg: TrainConfig | None = None, schedule: dict | None = None) -> dict:
+def train_zoo(zoo_dir, schedule: dict | None = None) -> dict:
     """Trains every model on the train split, records test accuracy in the
     manifest, and rewrites the weight files in place. ``schedule`` maps
-    model id to a TrainConfig override; TRAIN_SCHEDULE is used by default."""
+    model id to its TrainConfig (TRAIN_SCHEDULE by default); ids it omits
+    train with DEFAULT_TRAIN."""
     import os
 
     schedule = TRAIN_SCHEDULE if schedule is None else schedule
@@ -476,7 +467,7 @@ def train_zoo(zoo_dir, cfg: TrainConfig | None = None, schedule: dict | None = N
     train_set = dataset.train_split()
     test_set = dataset.test_split()
     for entry in manifest["models"]:
-        model_cfg = schedule.get(entry["id"], cfg or DEFAULT_TRAIN)
+        model_cfg = schedule.get(entry["id"], DEFAULT_TRAIN)
         view = model_view(train_set, entry["id"], manifest["seed"])
         model = train(models[entry["id"]], view, model_cfg)
         entry["clean_accuracy"] = accuracy(model, test_set)

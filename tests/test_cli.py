@@ -67,6 +67,33 @@ def test_attack_and_summarize_verbs(zoo_dir, tmp_path, capsys):
     assert 0.0 <= payload["fooling_rate"] <= 1.0
 
 
+@pytest.mark.parametrize("over, key", [
+    ({"max_images": "2"}, "max_images"),
+    ({"max_images": 0}, "max_images"),
+    ({"max_images": True}, "max_images"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"dataset": None}, "dataset"),
+    ({"zoo_manifest": ["m.json"]}, "zoo_manifest"),
+    ({"surrogate_ids": ["cnn-a", 1]}, "surrogate_ids"),
+    ({"seed": "1"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"allow_victim_overlap": "yes"}, "allow_victim_overlap"),
+    ({"pm": {"steps": 2.5}}, "steps"),
+    ({"search": {"max_queries": 2.5}}, "max_queries"),
+    ({"search": {"max_queries": False}}, "max_queries"),
+])
+def test_attack_config_field_types_exit_2_before_reading_files(tmp_path, capsys, over, key):
+    # the zoo does not exist, so a check made after a file read would
+    # surface as a file error instead
+    out_dir = tmp_path / "run"
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(_attack_config(str(tmp_path / "no-zoo"), str(out_dir), **over)))
+    assert main(["attack", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out_dir.exists()
+
+
 def test_attack_config_errors_exit_2(zoo_dir, tmp_path, capsys):
     assert main(["attack", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

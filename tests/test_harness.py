@@ -91,6 +91,12 @@ def test_build_search_config():
     assert defaults.pm.budget.eps == 16.0 / 255.0 and defaults.max_queries == 50
     for bad_search, bad_pm in (({"max_queries": 0}, {}),
                                ({}, {"steps": -1}),
+                               ({}, {"steps": 2.5}),
+                               ({}, {"steps": True}),
+                               ({"max_queries": 2.5}, {}),
+                               ({"max_queries": True}, {}),
+                               ([], {}),
+                               ({}, [("steps", 2)]),
                                ({}, {"budget": {"norm": "l3", "eps": 0.1}}),
                                ({"speed": 9}, {}),
                                ({}, {"warp": 1})):

@@ -179,12 +179,47 @@ def test_model_params_frozen_and_copied():
     assert m.param_count() == 36 * util.TINY_CLASSES + util.TINY_CLASSES
 
 
+def test_model_rejects_misshaped_params():
+    layers = [nn.Flatten(), nn.Dense(36, util.TINY_CLASSES)]
+    good = [(), (np.zeros((util.TINY_CLASSES, 36), np.float32),
+                 np.zeros(util.TINY_CLASSES, np.float32))]
+    m = nn.Model(layers, good, util.TINY_SHAPE, util.TINY_CLASSES)
+    for bad in ([(), (np.zeros((36, util.TINY_CLASSES), np.float32), good[1][1])],
+                [(), (good[1][0], np.zeros(util.TINY_CLASSES + 1, np.float32))],
+                [(), (good[1][0],)],
+                [(np.zeros(1, np.float32),), good[1]],
+                [good[1]]):
+        with pytest.raises(LayerSpecError, match="expected|groups"):
+            nn.Model(layers, bad, util.TINY_SHAPE, util.TINY_CLASSES)
+        with pytest.raises(LayerSpecError, match="expected|groups"):
+            m.with_params(bad)
+    conv = util.tiny_model(0, 2)
+    w, b = conv.params[0]
+    with pytest.raises(LayerSpecError, match="conv2d"):
+        conv.with_params([(w.transpose(1, 0, 2, 3), b)] + list(conv.params[1:]))
+
+
+def test_param_shapes():
+    assert nn.param_shapes(nn.Dense(5, 3)) == ((3, 5), (3,))
+    assert nn.param_shapes(nn.Conv2d(2, 4, 3, 2)) == ((4, 2, 3, 3), (4,))
+    assert nn.param_shapes(nn.Relu()) == () and nn.param_shapes(nn.Flatten()) == ()
+
+
 def test_layer_dict_round_trip():
     layers = [nn.Conv2d(1, 3, 3, 2), nn.Relu(), nn.Flatten(), nn.Dense(12, 4)]
     back = [nn.layer_from_dict(nn.layer_to_dict(l)) for l in layers]
     assert back == layers
-    with pytest.raises(LayerSpecError):
-        nn.layer_from_dict({"kind": "pool"})
+    assert nn.layer_to_dict(layers[0]) == {"kind": "conv2d", "in_channels": 1, "out_channels": 3,
+                                           "kernel_size": 3, "stride": 2}
+    assert nn.layer_to_dict(nn.Relu()) == {"kind": "relu"}
+    assert nn.layer_from_dict({"kind": "conv2d", "in_channels": 1, "out_channels": 3,
+                               "kernel_size": 3}) == nn.Conv2d(1, 3, 3, 1)
+    for bad in ({"kind": "pool"}, {"kind": ["dense"]}, [("kind", "relu")], "relu",
+                {"kind": "dense", "in_features": 4},
+                {"kind": "dense", "in_features": 4, "out_features": 2.0},
+                {"kind": "dense", "in_features": False, "out_features": 2}):
+        with pytest.raises(LayerSpecError):
+            nn.layer_from_dict(bad)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -183,9 +183,20 @@ def test_model_load_fault_injection(tmp_path):
     expect(with_header(raw, lambda h: h["spec"].update(input_shape=["a"])), offset=8)
     expect(with_header(raw, lambda h: h["spec"].update(input_shape=[-1, -6, 6])), offset=8)
     expect(with_header(raw, lambda h: h.update(num_classes=5)), offset=8)
+    expect(with_header(raw, lambda h: h.update(num_classes=4.7)), offset=8, contains="integers")
+    expect(with_header(raw, lambda h: h["spec"].update(input_shape=[1, 6.9, 6])),
+           offset=8, contains="integers")
     expect(with_header(raw, lambda h: h["spec"]["layers"][1].update(out_features=0)),
            offset=8, contains="out_features")
     expect(with_header(conv_raw, lambda h: h["spec"]["layers"][0].update(stride=0)),
+           offset=8, contains="stride")
+    for layers in ([1, 2, 3, 4], "abcd"):
+        expect(with_header(raw, lambda h: h["spec"].update(layers=layers)),
+               offset=8, contains="object")
+    for size in (36.9, 36.0, True, "36"):
+        expect(with_header(raw, lambda h: h["spec"]["layers"][1].update(in_features=size)),
+               offset=8, contains="in_features")
+    expect(with_header(conv_raw, lambda h: h["spec"]["layers"][0].update(stride=1.5)),
            offset=8, contains="stride")
 
 
@@ -202,6 +213,32 @@ def test_dataset_round_trip_bitwise(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_dataset_file_matches_documented_layout(tmp_path):
+    # packed by hand as the module docstring specifies: magic, u32le count /
+    # num_classes / side, then per sample a u16le label and the f32le pixels
+    pixels = [np.linspace(0.0, 1.0, 9, dtype=np.float32).reshape(3, 3),
+              np.full((3, 3), 0.25, np.float32)]
+    blob = b"BDS1" + struct.pack("<III", 2, 5, 3)
+    for label, img in zip((4, 1), pixels):
+        blob += struct.pack("<H", label) + struct.pack("<9f", *img.ravel())
+    p = tmp_path / "hand.bds"
+    p.write_bytes(blob)
+    ds = zoo.load_dataset(p)
+    assert ds.labels.tolist() == [4, 1] and (ds.num_classes, ds.side) == (5, 3)
+    assert ds.images.shape == (2, 1, 3, 3) and ds.images.dtype == np.float32
+    assert np.array_equal(ds.images[:, 0], np.stack(pixels))
+    out = tmp_path / "out.bds"
+    zoo.save_dataset(ds, out)
+    assert out.read_bytes() == blob
+
+
+def test_save_dataset_refuses_label_beyond_u16(tmp_path):
+    ds = zoo.LabeledDataset(np.zeros((2, 1, 4, 4), np.float32),
+                            np.array([0, 65536], np.int64), 70000, 4)
+    with pytest.raises(ValueError, match="16-bit"):
+        zoo.save_dataset(ds, tmp_path / "d.bds")
+
+
 def test_dataset_load_fault_injection(tmp_path):
     ds = _small_ds()
     p = tmp_path / "d.bds"
@@ -214,7 +251,9 @@ def test_dataset_load_fault_injection(tmp_path):
     nan_pixel[16 + 2 * sample + 14 : 20 + 2 * sample + 14] = struct.pack("<f", float("nan"))
     for blob, offset in ((b"ZZZZ" + raw[4:], 0), (raw[:10], 10), (raw[:-8], len(raw) - 8),
                          (bytes(bad_label), 16 + 5 * sample),
-                         (bytes(nan_pixel), 16 + 2 * sample + 2)):
+                         (bytes(nan_pixel), 16 + 2 * sample + 2),
+                         # no samples, but a side whose record NumPy cannot describe
+                         (b"BDS1" + struct.pack("<III", 0, 4, 70000), 12)):
         q = tmp_path / "bad.bds"
         q.write_bytes(blob)
         with pytest.raises(FormatError) as err:
@@ -242,7 +281,6 @@ def test_default_zoo_diversity():
 def test_manifest_id_helpers():
     manifest = {"models": [{"id": "cnn-a"}, {"id": "victim-cnn"}, {"id": "mlp-a"}]}
     assert zoo.surrogate_ids(manifest) == ["cnn-a", "mlp-a"]
-    assert zoo.victim_ids(manifest) == ["victim-cnn"]
 
 
 def test_model_view_properties():
