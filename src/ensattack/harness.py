@@ -120,6 +120,10 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         extra = set(goal) - {"mode"}
     if extra:
         raise ConfigError(f"unknown goal_policy keys: {sorted(extra)}")
+    if ("label" in goal) != (goal.get("policy") == "provided"):
+        raise ConfigError("goal_policy.label is given exactly when policy is 'provided'")
+    if "label" in goal and (type(goal["label"]) is not int or goal["label"] < 0):
+        raise ConfigError(f"goal_policy.label must be an integer >= 0, got {goal['label']!r}")
     build_search_config(cfg.search, cfg.pm)
     return cfg
 
@@ -235,6 +239,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
     # copy over the same connection so q_used counts that image's queries only
     victim = (LocalOracle(victim_model, "soft") if victim_model is not None
               else connect(cfg.victim["url"], require_mode="soft"))
+    if provided is not None and provided >= victim.num_classes:
+        raise ConfigError(f"goal_policy.label {provided} is out of range for "
+                          f"{victim.num_classes} classes")
 
     test = dataset.test_split()
     limit = len(test) if cfg.max_images is None else min(cfg.max_images, len(test))
@@ -324,7 +331,7 @@ def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: in
             w = np.array([i, j, k], dtype=np.float64) / resolution
             _, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), pm_cfg)
             z = nn.forward(victim_model, x_star)
-            loss = single_loss(z, goal, pm_cfg.loss)
+            loss = single_loss(z, goal, pm_cfg.loss)[0]
             rows.append((i, j, k, loss, is_success(int(np.argmax(z)), goal)))
     return rows
 

@@ -52,69 +52,41 @@ def _check_logits(z: np.ndarray, label: int) -> np.ndarray:
     return z
 
 
-def cw_margin_loss(z: np.ndarray, goal: AttackGoal, kappa: float = 0.0) -> float:
-    """Margin loss; <= 0 iff the goal's argmax condition holds weakly.
+def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
+    """(L, dL/dz) for one logit vector, from one set of expressions.
 
-    targeted:   max(max_{j != y*} z_j - z_{y*}, -kappa)
-    untargeted: max(z_y - max_{j != y} z_j, -kappa)
+    cw_margin:     targeted   max(max_{j != y*} z_j - z_{y*}, -kappa)
+                   untargeted max(z_y - max_{j != y} z_j, -kappa)
+                   It is <= 0 iff the goal's argmax condition holds weakly.
+                   Its gradient is zero on the clipped (-kappa) branch and at
+                   the clip boundary; runner-up ties break toward the lowest
+                   index.
+    cross_entropy: targeted -log softmax(z)_{y*}, untargeted +log softmax(z)_y,
+                   in the stable float64 log-sum-exp form; the gradient is
+                   the float32 softmax minus the one-hot label.
     """
     z = _check_logits(z, goal.label)
-    others = np.delete(z, goal.label)
-    if goal.mode == "targeted":
-        margin = float(others.max() - z[goal.label])
-    else:
-        margin = float(z[goal.label] - others.max())
-    return max(margin, -float(kappa))
-
-
-def cw_margin_grad(z: np.ndarray, goal: AttackGoal, kappa: float = 0.0) -> np.ndarray:
-    """dL/dz for cw_margin_loss; zero on the clipped (-kappa) branch and at
-    the clip boundary. Runner-up argmax ties break toward the lowest index."""
-    z = _check_logits(z, goal.label)
-    g = np.zeros_like(z)
-    masked = z.copy()
-    masked[goal.label] = -np.inf
-    j = int(np.argmax(masked))
-    if goal.mode == "targeted":
-        margin = float(z[j] - z[goal.label])
-        sign = np.float32(1.0)
-    else:
-        margin = float(z[goal.label] - z[j])
-        sign = np.float32(-1.0)
-    if margin > -float(kappa):
-        g[j] = sign
-        g[goal.label] = -sign
-    return g
-
-
-def cross_entropy_loss(z: np.ndarray, goal: AttackGoal) -> float:
-    """Stable log-sum-exp form. targeted: -log softmax(z)_{y*};
-    untargeted: +log softmax(z)_y, so lower is more adversarial either way."""
-    z = _check_logits(z, goal.label)
+    y = goal.label
+    targeted = goal.mode == "targeted"
+    if loss.kind == "cw_margin":
+        masked = z.copy()
+        masked[y] = -np.inf
+        j = int(np.argmax(masked))
+        # both differences are spelled out: z_y - z_j at a tie is +0.0,
+        # where -(z_j - z_y) would be -0.0
+        margin = float(z[j] - z[y]) if targeted else float(z[y] - z[j])
+        sign = np.float32(1.0 if targeted else -1.0)
+        g = np.zeros_like(z)
+        if margin > -float(loss.kappa):
+            g[j] = sign
+            g[y] = -sign
+        return max(margin, -float(loss.kappa)), g
     m = float(z.max())
     lse = m + float(np.log(np.sum(np.exp(z.astype(np.float64) - m))))
-    nll = lse - float(z[goal.label])
-    return nll if goal.mode == "targeted" else -nll
-
-
-def cross_entropy_grad(z: np.ndarray, goal: AttackGoal) -> np.ndarray:
-    z = _check_logits(z, goal.label)
-    p = nn.softmax(z)
-    g = p.copy()
-    g[goal.label] -= np.float32(1.0)
-    return g if goal.mode == "targeted" else -g
-
-
-def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> float:
-    if loss.kind == "cw_margin":
-        return cw_margin_loss(z, goal, loss.kappa)
-    return cross_entropy_loss(z, goal)
-
-
-def single_loss_grad(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> np.ndarray:
-    if loss.kind == "cw_margin":
-        return cw_margin_grad(z, goal, loss.kappa)
-    return cross_entropy_grad(z, goal)
+    nll = lse - float(z[y])
+    g = nn.softmax(z)
+    g[y] -= np.float32(1.0)
+    return (nll, g) if targeted else (-nll, -g)
 
 
 def _check_arity(n_outputs: int, w: np.ndarray) -> np.ndarray:
@@ -124,28 +96,43 @@ def _check_arity(n_outputs: int, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def ensemble_loss(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> float:
-    """Three fusion schemes over per-model logits.
+def _fuse(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> tuple:
+    """(fused loss, [dL/dz for each member]) over per-model logits.
 
     weighted_probabilities fuses softmax outputs and always applies the
     log-probability form regardless of the configured LossKind; the other
     two apply the configured loss to fused logits / per-model logits.
     """
-    w = _check_arity(len(outputs), w)
     if fusion == "weighted_loss":
-        return float(sum(wi * single_loss(z, goal, loss) for wi, z in zip(w, outputs)))
+        parts = [single_loss(z, goal, loss) for z in outputs]
+        value = float(sum(wi * val for wi, (val, _) in zip(w, parts)))
+        return value, [np.float32(wi) * g for wi, (_, g) in zip(w, parts)]
     if fusion == "weighted_logits":
         fused = np.zeros_like(np.asarray(outputs[0], dtype=np.float32))
         for wi, z in zip(w, outputs):
             fused = fused + np.float32(wi) * np.asarray(z, dtype=np.float32)
-        return single_loss(fused, goal, loss)
+        value, u = single_loss(fused, goal, loss)
+        return value, [np.float32(wi) * u for wi in w]
     if fusion == "weighted_probabilities":
-        p_bar = np.zeros(len(outputs[0]), dtype=np.float64)
-        for wi, z in zip(w, outputs):
-            p_bar += wi * nn.softmax(np.asarray(z, dtype=np.float32)).astype(np.float64)
-        p = max(float(p_bar[goal.label]), _P_FLOOR)
-        return float(-np.log(p)) if goal.mode == "targeted" else float(np.log(p))
+        probs = [nn.softmax(z) for z in outputs]
+        p_bar = np.zeros(len(probs[0]), dtype=np.float64)
+        for wi, p in zip(w, probs):
+            p_bar += wi * p.astype(np.float64)
+        p_y = max(float(p_bar[goal.label]), _P_FLOOR)
+        targeted = goal.mode == "targeted"
+        # dL/dp_bar is a one-hot spike at the goal label
+        v = np.zeros(len(p_bar), dtype=np.float32)
+        v[goal.label] = np.float32(-1.0 / p_y if targeted else 1.0 / p_y)
+        # chain through each member's softmax: J^T v = p (v - <v, p>)
+        upstreams = [np.float32(wi) * (p * (v - np.float32(np.dot(v, p))))
+                     for wi, p in zip(w, probs)]
+        return float(-np.log(p_y)) if targeted else float(np.log(p_y)), upstreams
     raise ValueError(f"unknown fusion {fusion!r}")
+
+
+def ensemble_loss(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> float:
+    """The fused loss over per-model logits, every member included."""
+    return _fuse(outputs, _check_arity(len(outputs), w), fusion, loss, goal)[0]
 
 
 def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
@@ -153,45 +140,18 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
     """Exact reverse-mode gradient of ensemble_loss w.r.t. delta.
 
     The reduction runs over models in list order (callers pass manifest-id
-    order), so the result is deterministic. Zero-weight members are skipped:
-    they contribute exactly nothing, which keeps simplex vertices identical
-    to the single-model gradient.
+    order), so the result is deterministic. Zero-weight members are skipped
+    except under weighted_logits: they contribute exactly nothing, which
+    keeps simplex vertices identical to the single-model gradient.
     """
     w = _check_arity(len(models), w)
     x_adv = np.asarray(x, dtype=np.float32) + np.asarray(delta, dtype=np.float32)
-    if fusion not in FUSION_KINDS:
-        raise ValueError(f"unknown fusion {fusion!r}")
-
-    saved = []  # (index, weight, activations) for active members
-    for i, model in enumerate(models):
-        if fusion != "weighted_logits" and w[i] == 0.0:
-            continue
-        saved.append((i, w[i], nn._forward_saved(model, x_adv)))
-
-    if fusion == "weighted_logits":
-        fused = np.zeros_like(saved[0][2][-1])
-        for _, wi, acts in saved:
-            fused = fused + np.float32(wi) * acts[-1]
-        u = single_loss_grad(fused, goal, loss)
-        upstreams = [np.float32(wi) * u for _, wi, _ in saved]
-    elif fusion == "weighted_loss":
-        upstreams = [np.float32(wi) * single_loss_grad(acts[-1], goal, loss)
-                     for _, wi, acts in saved]
-    else:  # weighted_probabilities
-        probs = [nn.softmax(acts[-1]) for _, _, acts in saved]
-        p_bar = np.zeros(len(probs[0]), dtype=np.float64)
-        for (_, wi, _), p in zip(saved, probs):
-            p_bar += wi * p.astype(np.float64)
-        # dL/dp_bar is a one-hot spike at the goal label
-        v = np.zeros(len(p_bar), dtype=np.float32)
-        spike = 1.0 / max(float(p_bar[goal.label]), _P_FLOOR)
-        v[goal.label] = np.float32(-spike if goal.mode == "targeted" else spike)
-        # chain through each member's softmax: J^T v = p (v - <v, p>)
-        upstreams = [np.float32(wi) * (p * (v - np.float32(np.dot(v, p))))
-                     for (_, wi, _), p in zip(saved, probs)]
+    active = [i for i in range(len(models)) if fusion == "weighted_logits" or w[i] != 0.0]
+    saved = [nn._forward_saved(models[i], x_adv) for i in active]
+    _, upstreams = _fuse([acts[-1] for acts in saved], w[active], fusion, loss, goal)
 
     grad = None
-    for (i, _, acts), u in zip(saved, upstreams):
+    for i, acts, u in zip(active, saved, upstreams):
         dx, _ = nn.backward(models[i], acts, u)
         grad = dx if grad is None else grad + dx
     if grad is None:  # every weight zero (normalize_weights forbids this)

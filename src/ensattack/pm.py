@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .losses import AttackGoal, LossKind, ensemble_input_gradient
+from .losses import FUSION_KINDS, AttackGoal, LossKind, ensemble_input_gradient
 
 # relative slack for the l2 feasibility predicate: one projection leaves
 # ||delta|| <= eps*(1 + ~2e-7) in float32, and the projection itself only
@@ -49,6 +49,8 @@ class PMConfig:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive")
+        if self.fusion not in FUSION_KINDS:
+            raise ValueError(f"fusion must be one of {FUSION_KINDS}, got {self.fusion!r}")
 
     def resolved_step(self) -> float:
         return self.step_size if self.step_size is not None else default_step(self.budget, self.steps)

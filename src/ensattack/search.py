@@ -118,7 +118,7 @@ def _coordinate_schedule(order: str, n: int, seed: int):
 def _victim_loss(resp, goal: AttackGoal, loss: LossKind) -> float:
     if resp.logits is None:
         return float("nan")
-    return single_loss(resp.logits, goal, loss)
+    return single_loss(resp.logits, goal, loss)[0]
 
 
 def _coordinate_search(x, goal: AttackGoal, surrogates, cfg: SearchConfig, budget: int,
@@ -206,7 +206,7 @@ def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
         vals = []
         for cand in (w_plus, w_minus):
             _, x_star = pm_mod.pm_run(x, goal, surrogates, cand, delta_init, cfg.pm)
-            vals.append(single_loss(nn.forward(victim_model, x_star), goal, cfg.pm.loss))
+            vals.append(single_loss(nn.forward(victim_model, x_star), goal, cfg.pm.loss)[0])
         grad[i] = (vals[0] - vals[1]) / (2.0 * h)
     return grad
 
@@ -233,7 +233,7 @@ def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
     def evaluate(wv, warm, iteration, accepted):
         d, x_star = pm_mod.pm_run(x, goal, surrogates, wv, warm, cfg.pm)
         z = nn.forward(victim_model, x_star)
-        loss = single_loss(z, goal, cfg.pm.loss)
+        loss = single_loss(z, goal, cfg.pm.loss)[0]
         ok = is_success(int(np.argmax(z)), goal)
         trajectory.append(IterationRecord(iteration, -1, accepted, wv.copy(), loss, ok,
                                           d.copy(), np.asarray(warm, dtype=np.float32).copy()))
@@ -266,7 +266,7 @@ def hardlabel_queryset(x, goal: AttackGoal, surrogate_victim, surrogates,
 
     def stand_in(delta, x_star, coordinate, tag):
         deltas.append(delta.copy())
-        return single_loss(nn.forward(surrogate_victim, x_star), goal, cfg.pm.loss), False
+        return single_loss(nn.forward(surrogate_victim, x_star), goal, cfg.pm.loss)[0], False
 
     _coordinate_search(x, goal, surrogates, cfg,
                        q_total if q_total is not None else cfg.max_queries, stand_in)

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import nn
 from .errors import FormatError, LayerSpecError, TrainingDivergedError
+from .losses import AttackGoal, LossKind, single_loss
 from .prng import stream
 
 # Class templates live in this pixel band; per-sample noise is uniform in
@@ -79,6 +80,8 @@ class LabeledDataset:
 
 BATCH_SIZE = 16
 WEIGHT_DECAY = 1e-4
+# the trainer minimises the targeted cross-entropy toward each true label
+TRAIN_LOSS = LossKind("cross_entropy")
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,6 @@ def build_model(layers, input_shape, num_classes: int, seed: int, model_id: str 
     return nn.Model(layers, params, input_shape, num_classes, model_id)
 
 
-def _ce_grad(logits: np.ndarray, label: int) -> tuple:
-    p = nn.softmax(logits)
-    g = p.copy()
-    g[label] -= np.float32(1.0)
-    # stable -log softmax[label]
-    m = logits.max()
-    loss = float(m + np.log(np.exp(logits - m).sum()) - logits[label])
-    return loss, g
-
-
 def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=None) -> nn.Model:
     """Minibatch SGD on cross-entropy. Deterministic given cfg.seed; batch
     order reshuffled per epoch from its own stream. If ``record`` is a list,
@@ -177,7 +170,8 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
             grads = [tuple(np.zeros_like(a) for a in group) for group in params]
             for j in batch:
                 acts = nn._forward_saved(work, dataset.images[j])
-                loss, g_logits = _ce_grad(acts[-1], int(dataset.labels[j]))
+                goal = AttackGoal("targeted", int(dataset.labels[j]))
+                loss, g_logits = single_loss(acts[-1], goal, TRAIN_LOSS)
                 epoch_loss += loss
                 _, pgrads = nn.backward(work, acts, g_logits, want_param_grads=True)
                 for gi, pg in zip(grads, pgrads):
@@ -406,8 +400,25 @@ def save_manifest(manifest: dict, path) -> None:
 
 
 def load_manifest(path) -> dict:
+    """The manifest dict; FormatError unless it is an object whose
+    ``dataset`` is a string and whose ``models`` is a list of objects with
+    unique string ``id`` and string ``file``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest must be a JSON object")
+    if not isinstance(manifest.get("dataset"), str):
+        raise FormatError(f"manifest dataset must be a file name, got {manifest.get('dataset')!r}")
+    models = manifest.get("models")
+    if not isinstance(models, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("id"), str) and isinstance(m.get("file"), str)
+            for m in models):
+        raise FormatError("manifest models must be a list of objects with string id and file")
+    ids = [m["id"] for m in models]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise FormatError(f"manifest repeats model ids: {repeated}")
+    return manifest
 
 
 def load_zoo(zoo_dir):

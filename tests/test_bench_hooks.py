@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import util
-from ensattack import harness, kernels, nn, server, zoo
+from ensattack import harness, kernels, nn, pm, server, zoo
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +35,25 @@ def test_span_hooks_install_trace_and_restore(monkeypatch):
     for span in ("kernels.conv_fwd", "kernels.conv_grad_input",
                  f"nn.fwd.{model.model_id}", f"nn.bwd.{model.model_id}"):
         assert tracer.calls(span) == 1, span
+
+
+def test_pm_spans_see_a_pm_run(monkeypatch):
+    # --trace 1 reports pm.steps and losses.ensemble_grad.* from these spans
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer, patcher = spans.Tracer(), spans.Patcher()
+    spans.install(tracer, patcher)
+    try:
+        x = util.rand_image(0)
+        cfg = pm.PMConfig(pm.Budget("linf", 0.1), steps=2)
+        pm.pm_run(x, util.targeted(1), [util.tiny_model(0, 0), util.tiny_model(1, 2)],
+                  [0.5, 0.5], np.zeros_like(x), cfg)
+    finally:
+        patcher.restore()
+    assert tracer.calls("pm.run") == 1
+    assert tracer.calls("losses.ensemble_grad") == 2
+    assert tracer.calls("pm.project") == 3  # the warm start, then one per step
 
 
 def test_served_victim_hooks_exist():

@@ -9,7 +9,7 @@ import pytest
 import util
 from ensattack import client, nn, zoo
 from ensattack.cli import main
-from ensattack.errors import TransportError
+from ensattack.errors import FormatError, TransportError
 
 
 def test_verb_is_required():
@@ -81,6 +81,13 @@ def test_attack_and_summarize_verbs(zoo_dir, tmp_path, capsys):
     ({"pm": {"steps": 2.5}}, "steps"),
     ({"search": {"max_queries": 2.5}}, "max_queries"),
     ({"search": {"max_queries": False}}, "max_queries"),
+    ({"pm": {"fusion": "mean"}}, "fusion"),
+    ({"goal_policy": {"mode": "targeted", "policy": "provided", "label": True}}, "label"),
+    ({"goal_policy": {"mode": "targeted", "policy": "provided", "label": 2.5}}, "label"),
+    ({"goal_policy": {"mode": "targeted", "policy": "provided", "label": -1}}, "label"),
+    ({"goal_policy": {"mode": "targeted", "policy": "provided", "label": "3"}}, "label"),
+    ({"goal_policy": {"mode": "targeted", "policy": "provided"}}, "label"),
+    ({"goal_policy": {"mode": "targeted", "policy": "easiest", "label": 3}}, "label"),
 ])
 def test_attack_config_field_types_exit_2_before_reading_files(tmp_path, capsys, over, key):
     # the zoo does not exist, so a check made after a file read would
@@ -105,6 +112,25 @@ def test_attack_config_errors_exit_2(zoo_dir, tmp_path, capsys):
     assert main(["attack", str(invalid)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # a manifest the loader cannot trust
+    with open(os.path.join(zoo_dir, "manifest.json"), encoding="utf-8") as fh:
+        good = json.load(fh)
+    entries = good["models"]
+    no_models = {k: v for k, v in good.items() if k != "models"}
+    for bad_manifest in ([good], no_models, {**good, "models": 5},
+                         {**good, "models": [{"id": e["id"]} for e in entries]},
+                         {**good, "models": entries + ["cnn-a"]},
+                         {**good, "models": [{**e, "id": 7} for e in entries]},
+                         {**good, "dataset": None},
+                         {**good, "models": entries + entries[:1]}):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(bad_manifest))
+        with pytest.raises(FormatError, match="manifest"):
+            zoo.load_manifest(path)
+        cfg = _attack_config(zoo_dir, str(tmp_path / "y"), zoo_manifest=str(path))
+        invalid.write_text(json.dumps(cfg))
+        assert main(["attack", str(invalid)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
 
 
 def test_attack_rejects_search_order_seed(zoo_dir, tmp_path, capsys):

@@ -58,6 +58,8 @@ def _raw_config(**over):
 
 def test_parse_experiment_config_errors():
     harness.parse_experiment_config(_raw_config())
+    provided = {"mode": "targeted", "policy": "provided", "label": 3}
+    assert harness.parse_experiment_config(_raw_config(goal_policy=provided)).goal_policy == provided
     with pytest.raises(ConfigError):
         harness.parse_experiment_config([1, 2])
     with pytest.raises(ConfigError):
@@ -222,6 +224,23 @@ def test_run_experiment_victim_overlap_guard(zoo_dir, tmp_path):
     harness.run_experiment(cfg_ok)
 
 
+@pytest.mark.parametrize("victim", ["local", "served"])
+def test_run_experiment_rejects_label_beyond_victim_classes(zoo_dir, zoo_bundle, tmp_path, victim):
+    # the label is checked against the victim handle before any query
+    goal = {"mode": "targeted", "policy": "provided", "label": 8}
+    out = str(tmp_path / "g")
+    if victim == "local":
+        with pytest.raises(ConfigError, match="label"):
+            harness.run_experiment(_experiment_cfg(zoo_dir, out, goal_policy=goal))
+    else:
+        with server.serve(zoo_bundle[2]["victim-mlp"], mode="soft") as handle:
+            with pytest.raises(ConfigError, match="label"):
+                harness.run_experiment(_experiment_cfg(zoo_dir, out, goal_policy=goal,
+                                                       victim={"url": handle.url}))
+            assert handle.request_count == 1  # the handshake only
+    assert not os.path.exists(out)
+
+
 def test_run_experiment_unknown_ids(zoo_dir, tmp_path):
     with pytest.raises(ConfigError):
         harness.run_experiment(_experiment_cfg(zoo_dir, str(tmp_path / "e"),
@@ -262,7 +281,7 @@ def test_triangle_sweep_vertex_matches_direct_run():
     _, x_star = pm.pm_run(x, goal, surrogates, np.array([1.0, 0.0, 0.0]),
                           np.zeros_like(x), cfg)
     from ensattack.losses import single_loss
-    assert first[3] == single_loss(nn.forward(victim, x_star), goal, cfg.loss)
+    assert first[3] == single_loss(nn.forward(victim, x_star), goal, cfg.loss)[0]
 
 
 def test_triangle_sweep_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from ensattack.errors import DegenerateClassifierError, EnsembleArityError
 from ensattack.losses import AttackGoal, LossKind
 
 finite_logits = st.lists(st.floats(-20, 20, width=32), min_size=2, max_size=8)
+CE = LossKind("cross_entropy")
 
 
 def test_goal_and_kind_validation():
@@ -23,23 +26,29 @@ def test_goal_and_kind_validation():
 
 
 def test_cw_margin_examples():
-    assert losses.cw_margin_loss(np.array([2.0, 0.0]), util.targeted(0), 5.0) == -2.0
-    assert losses.cw_margin_loss(np.array([0.0, 3.0]), util.targeted(0), 0.0) == 3.0
-    assert losses.cw_margin_loss(np.array([1.0, 1.0]), util.targeted(0), 0.0) == 0.0
+    def margin(z, goal, kappa):
+        return losses.single_loss(np.array(z), goal, LossKind(kappa=kappa))[0]
+
+    assert margin([2.0, 0.0], util.targeted(0), 5.0) == -2.0
+    assert margin([0.0, 3.0], util.targeted(0), 0.0) == 3.0
+    assert margin([1.0, 1.0], util.targeted(0), 0.0) == 0.0
     # untargeted: margin of the true class over the best other
-    assert losses.cw_margin_loss(np.array([2.0, 0.0]), util.untargeted(0), 5.0) == 2.0
-    assert losses.cw_margin_loss(np.array([0.0, 3.0]), util.untargeted(0), 0.0) == 0.0
+    assert margin([2.0, 0.0], util.untargeted(0), 5.0) == 2.0
+    # a success clipped at kappa = 0 is -0.0, which query logs write as repr
+    success = margin([0.0, 3.0], util.untargeted(0), 0.0)
+    assert success == 0.0 and math.copysign(1.0, success) == -1.0
 
 
 def test_cw_margin_clips_at_minus_kappa():
-    assert losses.cw_margin_loss(np.array([9.0, 0.0]), util.targeted(0), 2.0) == -2.0
+    z = np.array([9.0, 0.0])
+    assert losses.single_loss(z, util.targeted(0), LossKind(kappa=2.0))[0] == -2.0
 
 
 def test_degenerate_classifier_errors():
     with pytest.raises(DegenerateClassifierError):
-        losses.cw_margin_loss(np.array([1.0]), util.targeted(0))
+        losses.single_loss(np.array([1.0]), util.targeted(0), LossKind())
     with pytest.raises(DegenerateClassifierError):
-        losses.cross_entropy_loss(np.array([1.0, 2.0]), util.targeted(5))
+        losses.single_loss(np.array([1.0, 2.0]), util.targeted(5), CE)
 
 
 @given(finite_logits, st.integers(0, 7), st.floats(0.01, 3.0))
@@ -47,16 +56,16 @@ def test_cw_sign_iff_strict_success(grid, label, kappa):
     z = np.array(grid, np.float32)
     label %= z.size
     for goal in (util.targeted(label), util.untargeted(label)):
-        val = losses.cw_margin_loss(z, goal, kappa)
+        val = losses.single_loss(z, goal, LossKind(kappa=kappa))[0]
         strict = (int(np.argmax(z)) == label and np.sum(z == z.max()) == 1) \
             if goal.mode == "targeted" else bool(np.any(z > z[label]))
         assert (val < 0) == strict
 
 
 def test_cross_entropy_examples():
-    assert abs(losses.cross_entropy_loss(np.array([0.0, 0.0]), util.targeted(0))
+    assert abs(losses.single_loss(np.array([0.0, 0.0]), util.targeted(0), CE)[0]
                - np.log(2.0)) < 1e-7
-    nearly_sure = losses.cross_entropy_loss(np.array([30.0, 0.0]), util.targeted(0))
+    nearly_sure = losses.single_loss(np.array([30.0, 0.0]), util.targeted(0), CE)[0]
     assert 0 <= nearly_sure < 1e-6
 
 
@@ -66,9 +75,10 @@ def test_cross_entropy_matches_float64_reference(grid, label):
     label %= z.size
     z64 = z.astype(np.float64)
     ref = -(z64[label] - np.log(np.sum(np.exp(z64))))
-    got = losses.cross_entropy_loss(z, util.targeted(label))
+    got = losses.single_loss(z, util.targeted(label), CE)[0]
     assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
-    assert losses.cross_entropy_loss(z, util.untargeted(label)) == pytest.approx(-got, abs=1e-12)
+    assert losses.single_loss(z, util.untargeted(label), CE)[0] == \
+        pytest.approx(-got, abs=1e-12)
 
 
 @given(finite_logits, st.integers(0, 7))
@@ -78,8 +88,8 @@ def test_untargeted_is_negated_targeted_margin(grid, label):
     z = np.array(grid, np.float32)
     label %= z.size
     big = 1e9
-    t = losses.cw_margin_loss(z, util.targeted(label), big)
-    u = losses.cw_margin_loss(z, util.untargeted(label), big)
+    t = losses.single_loss(z, util.targeted(label), LossKind(kappa=big))[0]
+    u = losses.single_loss(z, util.untargeted(label), LossKind(kappa=big))[0]
     assert u == pytest.approx(-t, abs=1e-6)
 
 
@@ -95,15 +105,15 @@ def test_loss_grad_matches_fd_on_logits(grid, label, kind):
         top2 = np.sort(others)[-2:]
         assume(float(top2[1] - top2[0]) > 0.05)
     lk = LossKind(kind)
-    g = losses.single_loss_grad(z, goal, lk).astype(np.float64)
+    g = losses.single_loss(z, goal, lk)[1].astype(np.float64)
     h = 1e-3
     fd = np.zeros(z.size)
     for i in range(z.size):
         zp, zm = z.astype(np.float64).copy(), z.astype(np.float64).copy()
         zp[i] += h
         zm[i] -= h
-        fd[i] = (losses.single_loss(zp.astype(np.float32), goal, lk)
-                 - losses.single_loss(zm.astype(np.float32), goal, lk)) / (2 * h)
+        fd[i] = (losses.single_loss(zp.astype(np.float32), goal, lk)[0]
+                 - losses.single_loss(zm.astype(np.float32), goal, lk)[0]) / (2 * h)
     assert np.max(np.abs(g - fd)) < 5e-3
 
 
@@ -111,12 +121,12 @@ def test_singleton_ensemble_equals_single_loss():
     z = np.array([0.3, -1.2, 2.0, 0.1], np.float32)
     goal = util.targeted(1)
     lk = LossKind()
-    single = losses.single_loss(z, goal, lk)
+    single = losses.single_loss(z, goal, lk)[0]
     assert losses.ensemble_loss([z], [1.0], "weighted_loss", lk, goal) == pytest.approx(single)
     assert losses.ensemble_loss([z], [1.0], "weighted_logits", lk, goal) == pytest.approx(single)
     # probability fusion always uses the log-probability form
     wp = losses.ensemble_loss([z], [1.0], "weighted_probabilities", lk, goal)
-    assert wp == pytest.approx(losses.cross_entropy_loss(z, goal), abs=1e-6)
+    assert wp == pytest.approx(losses.single_loss(z, goal, CE)[0], abs=1e-6)
 
 
 def test_weighted_logits_independent_of_w_for_identical_members():
@@ -179,16 +189,22 @@ def test_probability_fusion_floor_keeps_loss_finite():
     assert np.all(np.isfinite(g))
 
 
-def test_vertex_weight_equals_single_model_gradient():
+@pytest.mark.parametrize("fusion", losses.FUSION_KINDS)
+def test_vertex_weight_equals_single_model_gradient(fusion):
     models = [util.tiny_model(i, i) for i in range(3)]
     x = util.rand_image(9)
     delta = np.zeros_like(x)
     goal = util.targeted(2)
     g_vertex = losses.ensemble_input_gradient(models, x, delta, [1.0, 0.0, 0.0],
-                                              "weighted_loss", LossKind(), goal)
+                                              fusion, LossKind(), goal)
     z = nn.forward(models[0], x)
-    g_single = nn.input_gradient(models[0], x, losses.single_loss_grad(z, goal, LossKind()))
-    assert np.array_equal(g_vertex, g_single)
+    if fusion == "weighted_probabilities":
+        # probability fusion of one member is that member's cross-entropy
+        g_single = nn.input_gradient(models[0], x, losses.single_loss(z, goal, CE)[1])
+        assert np.allclose(g_vertex, g_single)
+    else:
+        g_single = nn.input_gradient(models[0], x, losses.single_loss(z, goal, LossKind())[1])
+        assert np.array_equal(g_vertex, g_single)
 
 
 def test_ensemble_gradient_linear_in_w_for_weighted_loss():
