@@ -18,7 +18,8 @@ class DegenerateClassifierError(EnsAttackError, ValueError):
 
 
 class EnsembleArityError(EnsAttackError, ValueError):
-    """Ensemble outputs and weight vector have mismatched lengths."""
+    """Ensemble outputs and weight vector have mismatched lengths, or no
+    member has a nonzero weight."""
 
 
 class TrainingDivergedError(EnsAttackError, RuntimeError):

@@ -143,8 +143,12 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
     order), so the result is deterministic. Zero-weight members are skipped
     except under weighted_logits: they contribute exactly nothing, which
     keeps simplex vertices identical to the single-model gradient.
+    EnsembleArityError, before any forward runs, if the weights do not
+    match the models or are all zero.
     """
     w = _check_arity(len(models), w)
+    if not w.any():
+        raise EnsembleArityError("every ensemble weight is zero")
     x_adv = np.asarray(x, dtype=np.float32) + np.asarray(delta, dtype=np.float32)
     active = [i for i in range(len(models)) if fusion == "weighted_logits" or w[i] != 0.0]
     saved = [nn._forward_saved(models[i], x_adv) for i in active]
@@ -154,6 +158,4 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
     for i, acts, u in zip(active, saved, upstreams):
         dx, _ = nn.backward(models[i], acts, u)
         grad = dx if grad is None else grad + dx
-    if grad is None:  # every weight zero (normalize_weights forbids this)
-        grad = np.zeros_like(x_adv)
     return grad

@@ -223,12 +223,15 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
     """Reverse-mode pass over saved activations.
 
     Returns (dx, param_grads); param_grads is None unless requested, since
-    the trainer is the only caller that needs it.
+    the trainer is the only caller that needs it. The trainer has no use
+    for dx either, so a pass that wants parameter gradients ends at the
+    lowest layer with parameters and returns None for dx.
     """
     g = np.asarray(upstream, dtype=np.float32)
     if g.shape != acts[-1].shape:
         raise ShapeError(f"upstream shape {g.shape} does not match logits {acts[-1].shape}")
-    param_grads = [None] * len(model.layers) if want_param_grads else None
+    param_grads = [()] * len(model.layers) if want_param_grads else None
+    stop = next((i for i, p in enumerate(model.params) if p), 0) if want_param_grads else -1
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         a_in = acts[i]
@@ -236,6 +239,8 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             w, _ = model.params[i]
             if want_param_grads:
                 param_grads[i] = (np.outer(g, a_in), g.copy())
+            if i == stop:
+                break
             g = w.T @ g
         elif isinstance(layer, Conv2d):
             w, _ = model.params[i]
@@ -243,15 +248,15 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             if want_param_grads:
                 param_grads[i] = kernels.conv2d_grad_params(g, a_in, layer.kernel_size,
                                                             layer.kernel_size, layer.stride)
+            if i == stop:
+                break
             g = kernels.conv2d_grad_input(g, w, layer.stride, a_in.shape[1], a_in.shape[2])
         elif isinstance(layer, Relu):
             # subgradient at exactly 0 is defined as 0
             g = g * (a_in > 0)
         else:  # flatten
             g = g.reshape(a_in.shape)
-        if want_param_grads and param_grads[i] is None:
-            param_grads[i] = ()
-    return g, param_grads
+    return (None if want_param_grads else g), param_grads
 
 
 def input_gradient(model: Model, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -99,7 +99,8 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
     delta_init is projected once on entry, so any caller-supplied warm start
     is safe. ``on_step(t, delta)`` is called after each iteration when given
     (instrumentation only; it must not mutate delta). Returns (delta, x_star)
-    with x_star = x + delta. ValueError if x or delta_init is not finite.
+    with x_star = x + delta. ValueError if x or delta_init is not finite;
+    EnsembleArityError, before any forward runs, if every weight is zero.
     """
     x = np.asarray(x, dtype=np.float32)
     delta_init = np.asarray(delta_init, dtype=np.float32)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import nn, zoo
+from ensattack import kernels, nn, zoo
 from ensattack.errors import LayerSpecError, ShapeError
 
 
@@ -134,6 +134,52 @@ def test_param_gradients_match_fd():
                 fd = (loss_with(li, pi, idx, v0 + h) - loss_with(li, pi, idx, v0 - h)) / (2 * h)
                 an = float(np.asarray(grads[li][pi]).reshape(-1)[idx])
                 assert abs(an - fd) < 1e-2 * max(1.0, abs(fd))
+
+
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("layers", [
+    [nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Conv2d(3, 2, 2, 2), nn.Relu(), nn.Flatten(),
+     nn.Dense(8, util.TINY_CLASSES)],
+    [nn.Flatten(), nn.Dense(36, 10), nn.Relu(), nn.Dense(10, util.TINY_CLASSES)],
+], ids=["conv-first", "dense-first"])
+def test_trainer_pass_skips_the_input_gradient(layers, monkeypatch):
+    # the pass that wants parameter gradients stops at the lowest layer with
+    # parameters; every gradient it keeps is the full pass's, bit for bit
+    m = zoo.build_model(layers, util.TINY_SHAPE, util.TINY_CLASSES, 5)
+    x = util.rand_image(5)
+    u = util.rand_image(6, (util.TINY_CLASSES,), "upstream") - np.float32(0.5)
+    acts = nn._forward_saved(m, x)
+    ref_dx, ref_grads = util.ref_param_grads(m, acts, u)
+    calls = []
+    real = kernels.conv2d_grad_input
+    monkeypatch.setattr(kernels, "conv2d_grad_input", lambda *a: calls.append(a) or real(*a))
+    n_conv = sum(isinstance(layer, nn.Conv2d) for layer in layers)
+
+    dx, grads = nn.backward(m, acts, u, want_param_grads=True)
+    assert dx is None and len(calls) == max(n_conv - 1, 0)
+    assert [_bits(g) for g in grads] == [_bits(g) for g in ref_grads]
+
+    del calls[:]
+    dx, grads = nn.backward(m, acts, u)
+    assert grads is None and len(calls) == n_conv
+    assert _bits([dx]) == _bits([ref_dx])
+
+
+def test_trainer_step_makes_one_grad_input_call_fewer_per_sample(monkeypatch):
+    layers = [nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Conv2d(3, 2, 2, 2), nn.Relu(),
+              nn.Flatten(), nn.Dense(8, 4)]
+    m = zoo.build_model(layers, (1, 6, 6), 4, 3)
+    ds = zoo.make_synthetic_dataset(num_classes=4, per_class=4, side=6, seed=3)
+    calls = []
+    real = kernels.conv2d_grad_input
+    monkeypatch.setattr(kernels, "conv2d_grad_input", lambda *a: calls.append(a) or real(*a))
+    zoo.train(m, ds, zoo.TrainConfig(epochs=1))
+    # two convs: the full pass would call it twice per sample
+    assert len(calls) == len(ds)
+    assert all(a[0].shape == (2, 2, 2) for a in calls)
 
 
 def test_backward_upstream_shape_error():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import pm
-from ensattack.errors import ShapeError
+from ensattack import losses, nn, pm
+from ensattack.errors import EnsembleArityError, ShapeError
 from ensattack.losses import LossKind
 from ensattack.prng import stream
 
@@ -136,6 +136,22 @@ def test_pm_run_weight_arity_error():
     x = util.rand_image(0)
     with pytest.raises(ShapeError):
         pm.pm_run(x, util.targeted(0), [m], [0.5, 0.5], np.zeros_like(x), _cfg())
+
+
+@pytest.mark.parametrize("fusion", losses.FUSION_KINDS)
+def test_all_zero_weights_rejected_before_any_forward(fusion, monkeypatch):
+    models = [util.tiny_model(i, i) for i in range(2)]
+    x = util.rand_image(2)
+    forwards = []
+    real = nn._forward_saved
+    monkeypatch.setattr(nn, "_forward_saved", lambda m, a: forwards.append(m) or real(m, a))
+    cfg = pm.PMConfig(pm.Budget("linf", 0.1), steps=1, fusion=fusion)
+    with pytest.raises(EnsembleArityError):
+        pm.pm_run(x, util.targeted(1), models, [0.0, 0.0], np.zeros_like(x), cfg)
+    with pytest.raises(EnsembleArityError):
+        losses.ensemble_input_gradient(models, x, np.zeros_like(x), [0.0, -0.0], fusion,
+                                       LossKind(), util.targeted(1))
+    assert forwards == []
 
 
 def test_pm_run_rejects_non_finite_input():

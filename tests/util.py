@@ -5,6 +5,11 @@ naive_forward is a float64 straight-line evaluator, fd_gradient a
 central-difference gradient, plain_pgd a standalone projected signed-gradient
 loop, and naive_conv_forward a plain-loop convolution. They exist so package
 outputs are checked against code with no shared structure beyond the math.
+
+The tensordot_conv_* oracles are the other kind: the tensordot and
+strided-loop kernels the package once ran, kept verbatim so the im2col
+kernels can be checked against them bit for bit, and ref_param_grads is
+the full reverse pass built on them.
 """
 
 import numpy as np
@@ -32,6 +37,68 @@ def naive_conv_forward(x, w, b, stride):
                 win = x[:, p * stride:p * stride + kh, q * stride:q * stride + kw]
                 y[co, p, q] = float(b[co]) + float(np.sum(win * w[co]))
     return y
+
+
+def conv_windows(x, kh, kw, stride):
+    cin, h, w = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    s0, s1, s2 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (cin, oh, ow, kh, kw), (s0, s1 * stride, s2 * stride, s1, s2)
+    )
+
+
+def tensordot_conv_forward(x, w, b, stride):
+    win = conv_windows(x, w.shape[2], w.shape[3], stride)
+    y = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
+    y += b[:, None, None]
+    return np.ascontiguousarray(y, dtype=np.float32)
+
+
+def tensordot_conv_grad_input(dy, w, stride, in_h, in_w):
+    cout, cin, kh, kw = w.shape
+    oh, ow = dy.shape[1], dy.shape[2]
+    dx = np.zeros((cin, in_h, in_w), dtype=np.float32)
+    # t[ci,u,v,p,q] = sum_co w[co,ci,u,v] * dy[co,p,q]
+    t = np.tensordot(w, dy, axes=([0], [0]))
+    for u in range(kh):
+        for v in range(kw):
+            dx[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += t[:, u, v]
+    return dx
+
+
+def tensordot_conv_grad_params(dy, x, kh, kw, stride):
+    win = conv_windows(x, kh, kw, stride)
+    dw = np.tensordot(dy, win, axes=([1, 2], [1, 2]))
+    db = dy.sum(axis=(1, 2))
+    return np.ascontiguousarray(dw, dtype=np.float32), np.ascontiguousarray(db, dtype=np.float32)
+
+
+def ref_param_grads(model, acts, upstream):
+    """(dx, parameter gradients) from a reverse pass over every layer, the
+    model input included, on the tensordot_conv_* kernels."""
+    g = np.asarray(upstream, dtype=np.float32)
+    grads = []
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, a_in = model.layers[i], acts[i]
+        if layer.kind == "dense":
+            w = model.params[i][0]
+            grads.append((np.outer(g, a_in), g.copy()))
+            g = w.T @ g
+        elif layer.kind == "conv2d":
+            w = model.params[i][0]
+            g = np.ascontiguousarray(g, dtype=np.float32)
+            k, s = layer.kernel_size, layer.stride
+            grads.append(tensordot_conv_grad_params(g, a_in, k, k, s))
+            g = tensordot_conv_grad_input(g, w, s, a_in.shape[1], a_in.shape[2])
+        elif layer.kind == "relu":
+            grads.append(())
+            g = g * (a_in > 0)
+        else:
+            grads.append(())
+            g = g.reshape(a_in.shape)
+    return g, grads[::-1]
 
 
 def naive_forward(model, x):
