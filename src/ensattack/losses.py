@@ -6,6 +6,7 @@ itself is decided by the argmax predicate (see oracle.is_success), never by
 the sign of a loss.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,7 @@ def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
                    the clip boundary; runner-up ties break toward the lowest
                    index.
     cross_entropy: targeted -log softmax(z)_{y*}, untargeted +log softmax(z)_y,
-                   in the stable float64 log-sum-exp form; the gradient is
-                   the float32 softmax minus the one-hot label.
+                   from cross_entropy below.
     """
     z = _check_logits(z, goal.label)
     y = goal.label
@@ -81,18 +81,43 @@ def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
             g[j] = sign
             g[y] = -sign
         return max(margin, -float(loss.kappa)), g
-    m = float(z.max())
-    lse = m + float(np.log(np.sum(np.exp(z.astype(np.float64) - m))))
-    nll = lse - float(z[y])
-    g = nn.softmax(z)
-    g[y] -= np.float32(1.0)
+    nll, g = cross_entropy(z[None], [y])
+    nll, g = float(nll[0]), g[0]
     return (nll, g) if targeted else (-nll, -g)
 
 
-def _check_arity(n_outputs: int, w: np.ndarray) -> np.ndarray:
+def cross_entropy(z: np.ndarray, labels) -> tuple:
+    """Targeted cross-entropy -log softmax(z_i)_{y_i} for each row of (B, C)
+    logits, and its gradient: (float64 losses (B,), float32 dL/dz (B, C)).
+
+    The log-sum-exp runs in float64 from the float32 row max; the gradient
+    is the float32 softmax minus the one-hot label. A row's result does not
+    depend on the other rows, so one row gives single_loss's value bit for
+    bit and a minibatch gives the trainer's.
+    """
+    z = np.asarray(z, dtype=np.float32)
+    rows, labels = np.arange(len(z)), np.asarray(labels)
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(z.astype(np.float64) - m), axis=1))
+    nll = lse - z[rows, labels]
+    g = nn.softmax(z)
+    g[rows, labels] -= np.float32(1.0)
+    return nll, g
+
+
+def check_weights(n_members: int, w) -> np.ndarray:
+    """The ensemble weights as float64; EnsembleArityError unless they are
+    one finite weight per member and not all zero."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or len(w) != n_outputs:
-        raise EnsembleArityError(f"{n_outputs} outputs vs {w.shape} weights")
+    if w.ndim != 1 or len(w) != n_members:
+        raise EnsembleArityError(f"{n_members} members vs {w.shape} weights")
+    # the PM checks every step; on a handful of weights Python floats are
+    # quicker than NumPy reductions
+    values = w.tolist()
+    if not all(map(math.isfinite, values)):
+        raise EnsembleArityError(f"ensemble weights must be finite, got {values}")
+    if not any(values):
+        raise EnsembleArityError("every ensemble weight is zero")
     return w
 
 
@@ -131,8 +156,9 @@ def _fuse(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> tuple:
 
 
 def ensemble_loss(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> float:
-    """The fused loss over per-model logits, every member included."""
-    return _fuse(outputs, _check_arity(len(outputs), w), fusion, loss, goal)[0]
+    """The fused loss over per-model logits, every member included.
+    EnsembleArityError unless check_weights accepts w."""
+    return _fuse(outputs, check_weights(len(outputs), w), fusion, loss, goal)[0]
 
 
 def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
@@ -143,12 +169,10 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
     order), so the result is deterministic. Zero-weight members are skipped
     except under weighted_logits: they contribute exactly nothing, which
     keeps simplex vertices identical to the single-model gradient.
-    EnsembleArityError, before any forward runs, if the weights do not
-    match the models or are all zero.
+    EnsembleArityError, before any forward runs, unless check_weights
+    accepts w.
     """
-    w = _check_arity(len(models), w)
-    if not w.any():
-        raise EnsembleArityError("every ensemble weight is zero")
+    w = check_weights(len(models), w)
     x_adv = np.asarray(x, dtype=np.float32) + np.asarray(delta, dtype=np.float32)
     active = [i for i in range(len(models)) if fusion == "weighted_logits" or w[i] != 0.0]
     saved = [nn._forward_saved(models[i], x_adv) for i in active]

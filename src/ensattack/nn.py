@@ -1,9 +1,20 @@
 """Minimal dense-tensor forward evaluation and input-gradient engine.
 
-Supports the layer family {dense, conv2d (valid padding), relu, flatten} on
-single samples, float32 throughout. Reverse mode is exposed publicly only
-for gradients w.r.t. the input; parameter gradients exist for the trainer
-in the zoo module and are deliberately not part of the public surface.
+Supports the layer family {dense, conv2d (valid padding), relu, flatten},
+float32 throughout. Reverse mode is exposed publicly only for gradients
+w.r.t. the input; parameter gradients exist for the trainer in the zoo
+module and are deliberately not part of the public surface.
+
+The public entry points (``forward``, ``input_gradient``) take one sample,
+and reject anything else. The private ``_forward_saved`` and ``backward``
+also take a batch of samples along a leading axis, chosen by ``x.ndim``:
+the trainer and ``zoo.accuracy`` run one pass per minibatch or split, and
+every item's result is bitwise the one its own single-sample pass gives.
+Dense layers multiply with ``np.matmul(w, a[:, :, None])``, which is the
+per-sample ``w @ a`` bit for bit (``a @ w.T`` is not); conv layers call the
+single-sample kernels once per item. The PM keeps the single-sample path:
+it has one image per step, and at B = 1 the batched form cost 317-335 us
+for six surrogates' forward and backward, against 250 us single-sample.
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -186,21 +197,45 @@ def _check_input(model: Model, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
+def _check_batch(model: Model, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape[1:] != model.input_shape:
+        raise ShapeError(f"batch shape {x.shape} does not match model input {model.input_shape}")
+    return np.ascontiguousarray(x)
+
+
+def _batch_sum(parts: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in item order from +0.0, as ``acc += part``
+    item by item does. np.add.reduce sums that way, except when each item
+    is a single element: then it reduces pairwise."""
+    if parts[0].size > 1:
+        return np.add.reduce(parts, axis=0, initial=0.0)
+    acc = np.zeros_like(parts[0])
+    for part in parts:
+        acc += part
+    return acc
+
+
 def _forward_saved(model: Model, x: np.ndarray) -> list:
-    """Run the stack, keeping every intermediate activation for reverse mode."""
+    """Run the stack, keeping every intermediate activation for reverse
+    mode. ``x`` is one sample, or a C-contiguous batch along a leading axis."""
+    batched = x.ndim > len(model.input_shape)
     acts = [x]
     a = x
     for layer, p in zip(model.layers, model.params):
         if isinstance(layer, Dense):
             w, b = p
-            a = w @ a + b
+            a = (np.matmul(w, a[:, :, None])[:, :, 0] if batched else w @ a) + b
         elif isinstance(layer, Conv2d):
             w, b = p
-            a = kernels.conv2d_forward(a, w, b, layer.stride)
+            if batched:
+                a = np.stack([kernels.conv2d_forward(ai, w, b, layer.stride) for ai in a])
+            else:
+                a = kernels.conv2d_forward(a, w, b, layer.stride)
         elif isinstance(layer, Relu):
             a = np.maximum(a, np.float32(0.0))
         else:  # flatten
-            a = a.reshape(-1)
+            a = a.reshape(len(a), -1) if batched else a.reshape(-1)
         acts.append(a)
     return acts
 
@@ -212,11 +247,12 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax (max-subtraction); output sums to 1 within 1e-6."""
+    """Stable softmax (max-subtraction) over the last axis; each output
+    sums to 1 within 1e-6."""
     z = np.asarray(z, dtype=np.float32)
-    shifted = z - z.max()
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: bool = False):
@@ -225,11 +261,14 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
     Returns (dx, param_grads); param_grads is None unless requested, since
     the trainer is the only caller that needs it. The trainer has no use
     for dx either, so a pass that wants parameter gradients ends at the
-    lowest layer with parameters and returns None for dx.
+    lowest layer with parameters and returns None for dx. Over a batch, dx
+    has one row per item and the parameter gradients are summed over the
+    items in batch order from +0.0.
     """
     g = np.asarray(upstream, dtype=np.float32)
     if g.shape != acts[-1].shape:
         raise ShapeError(f"upstream shape {g.shape} does not match logits {acts[-1].shape}")
+    batched = g.ndim > 1
     param_grads = [()] * len(model.layers) if want_param_grads else None
     stop = next((i for i, p in enumerate(model.params) if p), 0) if want_param_grads else -1
     for i in range(len(model.layers) - 1, -1, -1):
@@ -237,20 +276,29 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
         a_in = acts[i]
         if isinstance(layer, Dense):
             w, _ = model.params[i]
-            if want_param_grads:
+            if want_param_grads and batched:
+                param_grads[i] = (_batch_sum(g[:, :, None] * a_in[:, None, :]), _batch_sum(g))
+            elif want_param_grads:
                 param_grads[i] = (np.outer(g, a_in), g.copy())
             if i == stop:
                 break
-            g = w.T @ g
+            g = np.matmul(w.T, g[:, :, None])[:, :, 0] if batched else w.T @ g
         elif isinstance(layer, Conv2d):
             w, _ = model.params[i]
+            k, s = layer.kernel_size, layer.stride
             g = np.ascontiguousarray(g, dtype=np.float32)
-            if want_param_grads:
-                param_grads[i] = kernels.conv2d_grad_params(g, a_in, layer.kernel_size,
-                                                            layer.kernel_size, layer.stride)
+            if want_param_grads and batched:
+                parts = [kernels.conv2d_grad_params(gi, ai, k, k, s) for gi, ai in zip(g, a_in)]
+                param_grads[i] = tuple(_batch_sum(np.stack(p)) for p in zip(*parts))
+            elif want_param_grads:
+                param_grads[i] = kernels.conv2d_grad_params(g, a_in, k, k, s)
             if i == stop:
                 break
-            g = kernels.conv2d_grad_input(g, w, layer.stride, a_in.shape[1], a_in.shape[2])
+            h, wd = a_in.shape[-2:]
+            if batched:
+                g = np.stack([kernels.conv2d_grad_input(gi, w, s, h, wd) for gi in g])
+            else:
+                g = kernels.conv2d_grad_input(g, w, s, h, wd)
         elif isinstance(layer, Relu):
             # subgradient at exactly 0 is defined as 0
             g = g * (a_in > 0)

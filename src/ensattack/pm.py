@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .losses import FUSION_KINDS, AttackGoal, LossKind, ensemble_input_gradient
+from .losses import (FUSION_KINDS, AttackGoal, LossKind, check_weights,
+                     ensemble_input_gradient)
 
 # relative slack for the l2 feasibility predicate: one projection leaves
 # ||delta|| <= eps*(1 + ~2e-7) in float32, and the projection itself only
@@ -100,13 +101,12 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
     is safe. ``on_step(t, delta)`` is called after each iteration when given
     (instrumentation only; it must not mutate delta). Returns (delta, x_star)
     with x_star = x + delta. ValueError if x or delta_init is not finite;
-    EnsembleArityError, before any forward runs, if every weight is zero.
+    EnsembleArityError, before any forward runs, unless
+    losses.check_weights accepts w.
     """
     x = np.asarray(x, dtype=np.float32)
     delta_init = np.asarray(delta_init, dtype=np.float32)
-    w = np.asarray(w, dtype=np.float64)
-    if len(w) != len(models):
-        raise ShapeError(f"{len(models)} models vs {len(w)} weights")
+    w = check_weights(len(models), w)
     if not np.isfinite(x).all():
         raise ValueError("pm_run image has pixels that are not finite")
     if not np.isfinite(delta_init).all():

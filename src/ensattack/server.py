@@ -46,6 +46,10 @@ BODY_TIMEOUT_S = 10.0
 # handled requests whose handler times /v1/metrics summarises
 HANDLE_WINDOW = 1024
 
+# seconds between the serve loop's checks for shutdown(), so close()
+# returns within about this long (the standard library's default is 0.5)
+POLL_INTERVAL_S = 0.05
+
 
 def _max_body(input_shape) -> int:
     """Largest predict body a valid request for this input shape needs: the
@@ -242,6 +246,7 @@ def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
     httpd.request_count = 0
     httpd.statuses = collections.Counter()
     httpd.handle_ms = collections.deque(maxlen=HANDLE_WINDOW)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever,
+                              kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True)
     thread.start()
     return ServerHandle(httpd, thread)

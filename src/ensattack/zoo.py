@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .errors import FormatError, LayerSpecError, TrainingDivergedError
-from .losses import AttackGoal, LossKind, single_loss
+from .losses import cross_entropy
 from .prng import stream
 
 # Class templates live in this pixel band; per-sample noise is uniform in
@@ -80,8 +80,6 @@ class LabeledDataset:
 
 BATCH_SIZE = 16
 WEIGHT_DECAY = 1e-4
-# the trainer minimises the targeted cross-entropy toward each true label
-TRAIN_LOSS = LossKind("cross_entropy")
 
 
 @dataclass(frozen=True)
@@ -153,11 +151,20 @@ def build_model(layers, input_shape, num_classes: int, seed: int, model_id: str 
 
 
 def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=None) -> nn.Model:
-    """Minibatch SGD on cross-entropy. Deterministic given cfg.seed; batch
-    order reshuffled per epoch from its own stream. If ``record`` is a list,
-    the per-epoch mean loss is appended to it."""
+    """Minibatch SGD on the targeted cross-entropy toward each true label,
+    with weight decay and a global gradient-norm clip. Deterministic given
+    cfg.seed; batch order reshuffled per epoch from its own stream. If
+    ``record`` is a list, the per-epoch mean loss is appended to it.
+    ShapeError if the images do not fit the model's input.
+
+    Each minibatch is one batched forward, loss and backward. The trained
+    weights are bitwise those of a per-sample loop: every item's gradient
+    is its single-sample gradient, the parameter gradients are summed over
+    the minibatch in batch order from +0.0, and the epoch loss adds the
+    per-sample losses in sample order."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    images = nn._check_batch(model, dataset.images)
     params = [tuple(a.copy() for a in group) for group in model.params]
     lr = cfg.learning_rate
     n = len(dataset)
@@ -167,16 +174,11 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
             work = model.with_params(params)
-            grads = [tuple(np.zeros_like(a) for a in group) for group in params]
-            for j in batch:
-                acts = nn._forward_saved(work, dataset.images[j])
-                goal = AttackGoal("targeted", int(dataset.labels[j]))
-                loss, g_logits = single_loss(acts[-1], goal, TRAIN_LOSS)
+            acts = nn._forward_saved(work, images[batch])
+            sample_losses, g_logits = cross_entropy(acts[-1], dataset.labels[batch])
+            for loss in sample_losses.tolist():
                 epoch_loss += loss
-                _, pgrads = nn.backward(work, acts, g_logits, want_param_grads=True)
-                for gi, pg in zip(grads, pgrads):
-                    for acc, val in zip(gi, pg):
-                        acc += val
+            _, grads = nn.backward(work, acts, g_logits, want_param_grads=True)
             inv = 1.0 / len(batch)
             if cfg.clip_norm > 0:
                 sq = sum(float((acc * acc).sum()) for gi in grads for acc in gi)
@@ -197,13 +199,12 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
 
 
 def accuracy(model: nn.Model, dataset: LabeledDataset) -> float:
-    """Top-1 accuracy; argmax ties break toward the lowest class index."""
+    """Top-1 accuracy from one batched forward over the whole dataset;
+    argmax ties break toward the lowest class index."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    hits = 0
-    for img, label in zip(dataset.images, dataset.labels):
-        hits += int(np.argmax(nn.forward(model, img)) == label)
-    return hits / len(dataset)
+    logits = nn._forward_saved(model, nn._check_batch(model, dataset.images))[-1]
+    return int(np.sum(np.argmax(logits, axis=1) == dataset.labels)) / len(dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +401,35 @@ def save_manifest(manifest: dict, path) -> None:
 
 
 def load_manifest(path) -> dict:
-    """The manifest dict; FormatError unless it is an object whose
-    ``dataset`` is a string and whose ``models`` is a list of objects with
-    unique string ``id`` and string ``file``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """The manifest dict; FormatError, naming the file, unless it is UTF-8
+    JSON for an object whose ``dataset`` is a string and whose ``models``
+    is a list of objects with unique string ``id`` and string ``file``."""
+    def bad(message, offset=0):
+        return FormatError(f"manifest {path}: {message}", offset=offset)
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise bad(f"not UTF-8: {exc.reason}", exc.start) from None
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise bad(f"not JSON: {exc.msg}", len(text[:exc.pos].encode("utf-8"))) from None
     if not isinstance(manifest, dict):
-        raise FormatError("manifest must be a JSON object")
+        raise bad("must be a JSON object")
     if not isinstance(manifest.get("dataset"), str):
-        raise FormatError(f"manifest dataset must be a file name, got {manifest.get('dataset')!r}")
+        raise bad(f"dataset must be a file name, got {manifest.get('dataset')!r}")
     models = manifest.get("models")
     if not isinstance(models, list) or not all(
             isinstance(m, dict) and isinstance(m.get("id"), str) and isinstance(m.get("file"), str)
             for m in models):
-        raise FormatError("manifest models must be a list of objects with string id and file")
+        raise bad("models must be a list of objects with string id and file")
     ids = [m["id"] for m in models]
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
-        raise FormatError(f"manifest repeats model ids: {repeated}")
+        raise bad(f"repeats model ids: {repeated}")
     return manifest
 
 

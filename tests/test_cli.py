@@ -133,6 +133,29 @@ def test_attack_config_errors_exit_2(zoo_dir, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error")
 
 
+@pytest.mark.parametrize("damage, offset", [
+    (lambda raw: raw[: len(raw) // 2], None),  # truncated mid-file
+    (lambda raw: b"", 0),
+    (lambda raw: raw[:20] + b"\xff" + raw[20:], 20),  # not UTF-8
+    (lambda raw: raw.replace(b'"dataset"', b'"dat\xc3set"', 1), None),  # a bad continuation
+], ids=["truncated", "empty", "invalid-start-byte", "invalid-continuation"])
+def test_undecodable_manifest_is_a_format_error_naming_the_file(
+        damage, offset, zoo_dir, tmp_path, capsys):
+    with open(os.path.join(zoo_dir, "manifest.json"), "rb") as fh:
+        path = tmp_path / "manifest.json"
+        path.write_bytes(damage(fh.read()))
+    with pytest.raises(FormatError, match="manifest") as err:
+        zoo.load_manifest(path)
+    assert str(path) in str(err.value)
+    if offset is not None:
+        assert err.value.offset == offset
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(_attack_config(zoo_dir, str(tmp_path / "y"), zoo_manifest=str(path))))
+    assert main(["attack", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(path) in err
+
+
 def test_attack_rejects_search_order_seed(zoo_dir, tmp_path, capsys):
     cfg = tmp_path / "seeded.json"
     cfg.write_text(json.dumps(_attack_config(zoo_dir, str(tmp_path / "z"),

@@ -177,6 +177,14 @@ def test_arity_and_fusion_validation():
                                        "sum", LossKind(), util.targeted(0))
 
 
+@pytest.mark.parametrize("fusion", losses.FUSION_KINDS)
+def test_ensemble_loss_rejects_the_weights_the_gradient_rejects(fusion):
+    zs = [np.array([0.0, 1.0], np.float32), np.array([2.0, -1.0], np.float32)]
+    for w in ([0.0, 0.0], [0.0, -0.0], [np.nan, 0.5], [1.0, np.inf], [[0.5, 0.5]]):
+        with pytest.raises(EnsembleArityError):
+            losses.ensemble_loss(zs, w, fusion, LossKind(), util.targeted(0))
+
+
 def test_probability_fusion_floor_keeps_loss_finite():
     z_sure_wrong = np.array([-80.0, 80.0], np.float32)
     val = losses.ensemble_loss([z_sure_wrong], [1.0], "weighted_probabilities",

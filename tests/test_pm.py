@@ -132,10 +132,24 @@ def test_pm_run_on_step_sequence():
 
 
 def test_pm_run_weight_arity_error():
+    # the same error ensemble_input_gradient and ensemble_loss raise
     m = util.tiny_model(0, 0)
     x = util.rand_image(0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(EnsembleArityError):
         pm.pm_run(x, util.targeted(0), [m], [0.5, 0.5], np.zeros_like(x), _cfg())
+
+
+@pytest.mark.parametrize("w", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.0]])
+def test_pm_run_rejects_non_finite_weights_before_any_forward(w, monkeypatch):
+    models = [util.tiny_model(i, i) for i in range(2)]
+    x = util.rand_image(2)
+    forwards = []
+    real = nn._forward_saved
+    monkeypatch.setattr(nn, "_forward_saved", lambda m, a: forwards.append(m) or real(m, a))
+    cfg = pm.PMConfig(pm.Budget("linf", 0.1), steps=2)
+    with pytest.raises(EnsembleArityError):
+        pm.pm_run(x, util.targeted(1), models, w, np.zeros_like(x), cfg)
+    assert forwards == []
 
 
 @pytest.mark.parametrize("fusion", losses.FUSION_KINDS)

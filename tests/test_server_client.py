@@ -332,7 +332,8 @@ def _rogue(meta, predict=b"{}", predict_status=200):
     handler = type("H", (_RogueHandler,), {"meta": meta, "predict": predict,
                                            "predict_status": predict_status})
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": server.POLL_INTERVAL_S},
+                     daemon=True).start()
     return httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
 
 

@@ -9,15 +9,20 @@ outputs are checked against code with no shared structure beyond the math.
 The tensordot_conv_* oracles are the other kind: the tensordot and
 strided-loop kernels the package once ran, kept verbatim so the im2col
 kernels can be checked against them bit for bit, and ref_param_grads is
-the full reverse pass built on them.
+the full reverse pass built on them. per_sample_train and
+per_sample_accuracy are the same kind for the zoo: the trainer and
+accuracy loops that ran one sample at a time, so the batched ones can be
+checked against them bit for bit.
 """
 
 import numpy as np
 
 from ensattack import nn
-from ensattack.losses import AttackGoal
+from ensattack.errors import TrainingDivergedError
+from ensattack.losses import AttackGoal, LossKind, single_loss
 from ensattack.oracle import Oracle
 from ensattack.prng import stream
+from ensattack.zoo import BATCH_SIZE, WEIGHT_DECAY
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +104,62 @@ def ref_param_grads(model, acts, upstream):
             grads.append(())
             g = g.reshape(a_in.shape)
     return g, grads[::-1]
+
+
+TRAIN_LOSS = LossKind("cross_entropy")
+
+
+def per_sample_train(model, dataset, cfg, record=None):
+    """zoo.train as it ran before minibatches were batched: one forward,
+    single_loss and backward per sample."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    params = [tuple(a.copy() for a in group) for group in model.params]
+    lr = cfg.learning_rate
+    n = len(dataset)
+    for epoch in range(cfg.epochs):
+        order = stream(cfg.seed, f"shuffle/{epoch}").permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
+            work = model.with_params(params)
+            grads = [tuple(np.zeros_like(a) for a in group) for group in params]
+            for j in batch:
+                acts = nn._forward_saved(work, dataset.images[j])
+                goal = AttackGoal("targeted", int(dataset.labels[j]))
+                loss, g_logits = single_loss(acts[-1], goal, TRAIN_LOSS)
+                epoch_loss += loss
+                _, pgrads = nn.backward(work, acts, g_logits, want_param_grads=True)
+                for gi, pg in zip(grads, pgrads):
+                    for acc, val in zip(gi, pg):
+                        acc += val
+            inv = 1.0 / len(batch)
+            if cfg.clip_norm > 0:
+                sq = sum(float((acc * acc).sum()) for gi in grads for acc in gi)
+                gnorm = np.sqrt(sq) * inv
+                if gnorm > cfg.clip_norm:
+                    inv *= cfg.clip_norm / gnorm
+            scale = np.float32(lr * inv)
+            decay = np.float32(lr * WEIGHT_DECAY)
+            for group, gi in zip(params, grads):
+                for a, acc in zip(group, gi):
+                    a -= scale * acc + decay * a
+        mean_loss = epoch_loss / n
+        if not np.isfinite(mean_loss):
+            raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
+        if record is not None:
+            record.append(mean_loss)
+    return model.with_params(params)
+
+
+def per_sample_accuracy(model, dataset):
+    """zoo.accuracy as it ran before: one nn.forward per image."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    hits = 0
+    for img, label in zip(dataset.images, dataset.labels):
+        hits += int(np.argmax(nn.forward(model, img)) == label)
+    return hits / len(dataset)
 
 
 def naive_forward(model, x):
