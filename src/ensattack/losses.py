@@ -7,12 +7,13 @@ the sign of a loss.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import DegenerateClassifierError, EnsembleArityError
+from .errors import DegenerateClassifierError, EnsembleArityError, ShapeError
 
 FUSION_KINDS = ("weighted_probabilities", "weighted_logits", "weighted_loss")
 # floor for fused probabilities before log; keeps the loss finite when every
@@ -44,17 +45,23 @@ class LossKind:
             raise ValueError("kappa must be finite and >= 0")
 
 
-def _check_logits(z: np.ndarray, label: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float32)
-    if z.ndim != 1 or z.size < 2:
-        raise DegenerateClassifierError(f"need a logit vector with C >= 2, got shape {z.shape}")
-    if label >= z.size:
-        raise DegenerateClassifierError(f"label {label} out of range for C={z.size}")
+def _check_logits(z, label: int, ndim: int) -> np.ndarray:
+    try:
+        z = np.asarray(z, dtype=np.float32)
+    except ValueError:  # a ragged stack of member logits
+        raise ShapeError("ensemble members disagree on the number of classes") from None
+    if z.ndim != ndim or z.shape[-1] < 2:
+        what = "a logit vector" if ndim == 1 else "(N, C) logits"
+        raise DegenerateClassifierError(f"need {what} with C >= 2, got shape {z.shape}")
+    if label >= z.shape[-1]:
+        raise DegenerateClassifierError(f"label {label} out of range for C={z.shape[-1]}")
     return z
 
 
-def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
-    """(L, dL/dz) for one logit vector, from one set of expressions.
+def stacked_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
+    """([L_i], dL_i/dz_i) for each row of (N, C) logits, from one set of
+    expressions: the values as Python floats in row order and the float32
+    gradients as one (N, C) array.
 
     cw_margin:     targeted   max(max_{j != y*} z_j - z_{y*}, -kappa)
                    untargeted max(z_y - max_{j != y} z_j, -kappa)
@@ -64,26 +71,38 @@ def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
                    index.
     cross_entropy: targeted -log softmax(z)_{y*}, untargeted +log softmax(z)_y,
                    from cross_entropy below.
+
+    A row's result does not depend on the other rows, so a row of a stack
+    gives bit for bit what single_loss gives for it alone.
     """
-    z = _check_logits(z, goal.label)
+    z = _check_logits(z, goal.label, 2)
     y = goal.label
     targeted = goal.mode == "targeted"
     if loss.kind == "cw_margin":
         masked = z.copy()
-        masked[y] = -np.inf
-        j = int(np.argmax(masked))
+        masked[:, y] = -np.inf
+        j = masked.argmax(axis=1)
+        z_j, z_y = z[np.arange(len(z)), j], z[:, y]
         # both differences are spelled out: z_y - z_j at a tie is +0.0,
         # where -(z_j - z_y) would be -0.0
-        margin = float(z[j] - z[y]) if targeted else float(z[y] - z[j])
+        margin = (z_j - z_y if targeted else z_y - z_j).tolist()
+        clip = -float(loss.kappa)
         sign = np.float32(1.0 if targeted else -1.0)
         g = np.zeros_like(z)
-        if margin > -float(loss.kappa):
-            g[j] = sign
-            g[y] = -sign
-        return max(margin, -float(loss.kappa)), g
-    nll, g = cross_entropy(z[None], [y])
-    nll, g = float(nll[0]), g[0]
-    return (nll, g) if targeted else (-nll, -g)
+        # a handful of rows: item assignment beats boolean fancy indexing
+        for r, (m, jr) in enumerate(zip(margin, j.tolist())):
+            if m > clip:
+                g[r, jr] = sign
+                g[r, y] = -sign
+        return [max(m, clip) for m in margin], g
+    nll, g = cross_entropy(z, np.full(len(z), y))
+    return (nll.tolist(), g) if targeted else ((-nll).tolist(), -g)
+
+
+def single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
+    """(L, dL/dz) for one logit vector: the one-row case of stacked_loss."""
+    values, g = stacked_loss(_check_logits(z, goal.label, 1)[None], goal, loss)
+    return values[0], g[0]
 
 
 def cross_entropy(z: np.ndarray, labels) -> tuple:
@@ -122,22 +141,25 @@ def check_weights(n_members: int, w) -> np.ndarray:
 
 
 def _fuse(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> tuple:
-    """(fused loss, [dL/dz for each member]) over per-model logits.
+    """(fused loss, dL/dz for each member as one float32 (N, C) array) over
+    per-model logits.
 
-    weighted_probabilities fuses softmax outputs and always applies the
-    log-probability form regardless of the configured LossKind; the other
-    two apply the configured loss to fused logits / per-model logits.
+    weighted_loss applies the configured loss to the stacked member logits
+    in one stacked_loss call; weighted_logits applies it to the fused
+    logits; weighted_probabilities fuses softmax outputs and always applies
+    the log-probability form regardless of the configured LossKind.
     """
+    w32 = w.astype(np.float32)[:, None]
     if fusion == "weighted_loss":
-        parts = [single_loss(z, goal, loss) for z in outputs]
-        value = float(sum(wi * val for wi, (val, _) in zip(w, parts)))
-        return value, [np.float32(wi) * g for wi, (_, g) in zip(w, parts)]
+        values, g = stacked_loss(outputs, goal, loss)
+        # summed as Python floats in member order, from 0
+        return float(sum(map(operator.mul, w.tolist(), values))), w32 * g
     if fusion == "weighted_logits":
         fused = np.zeros_like(np.asarray(outputs[0], dtype=np.float32))
         for wi, z in zip(w, outputs):
             fused = fused + np.float32(wi) * np.asarray(z, dtype=np.float32)
         value, u = single_loss(fused, goal, loss)
-        return value, [np.float32(wi) * u for wi in w]
+        return value, w32 * u
     if fusion == "weighted_probabilities":
         probs = [nn.softmax(z) for z in outputs]
         p_bar = np.zeros(len(probs[0]), dtype=np.float64)
@@ -149,8 +171,7 @@ def _fuse(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> tuple:
         v = np.zeros(len(p_bar), dtype=np.float32)
         v[goal.label] = np.float32(-1.0 / p_y if targeted else 1.0 / p_y)
         # chain through each member's softmax: J^T v = p (v - <v, p>)
-        upstreams = [np.float32(wi) * (p * (v - np.float32(np.dot(v, p))))
-                     for wi, p in zip(w, probs)]
+        upstreams = w32 * np.array([p * (v - np.float32(np.dot(v, p))) for p in probs])
         return float(-np.log(p_y)) if targeted else float(np.log(p_y)), upstreams
     raise ValueError(f"unknown fusion {fusion!r}")
 
@@ -165,10 +186,27 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
                             goal: AttackGoal) -> np.ndarray:
     """Exact reverse-mode gradient of ensemble_loss w.r.t. delta.
 
-    The reduction runs over models in list order (callers pass manifest-id
-    order), so the result is deterministic. Zero-weight members are skipped
-    except under weighted_logits: they contribute exactly nothing, which
-    keeps simplex vertices identical to the single-model gradient.
+    One forward per member, one fusion over the stacked member logits, and
+    one backward per member whose upstream dL/dz has a nonzero entry. The
+    reduction runs over models in list order (callers pass manifest-id
+    order), so the result is deterministic. Two kinds of member add nothing
+    and are skipped:
+
+    - a zero-weight member, except under weighted_logits, which keeps
+      simplex vertices identical to the single-model gradient;
+    - a member whose upstream is all zero: under cw_margin, one the
+      current delta already fools by the margin kappa. With finite
+      parameters, the reverse pass of a +-0.0 upstream is +0.0 at the
+      input: the dense product and the conv column product accumulate
+      from +0.0, and the conv scatter adds into a +0.0 array, so every
+      zero below the first layer with parameters is +0.0 whatever its
+      signs above. A float sum in order is unchanged by a +0.0 addend
+      wherever it sits, except that it turns a -0.0 sum into +0.0; so
+      when a member is skipped this way, +0.0 is added once, and the sum
+      is +0.0 when no member is left. zoo.load_model refuses non-finite
+      parameters. A member with no parameter layer passes a -0.0 upstream
+      through, so it is never skipped.
+
     EnsembleArityError, before any forward runs, unless check_weights
     accepts w.
     """
@@ -178,8 +216,13 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
     saved = [nn._forward_saved(models[i], x_adv) for i in active]
     _, upstreams = _fuse([acts[-1] for acts in saved], w[active], fusion, loss, goal)
 
-    grad = None
-    for i, acts, u in zip(active, saved, upstreams):
+    grad, skipped = None, False
+    for i, acts, u, live in zip(active, saved, upstreams, upstreams.any(axis=1).tolist()):
+        if not live and any(models[i].params):
+            skipped = True
+            continue
         dx, _ = nn.backward(models[i], acts, u)
         grad = dx if grad is None else grad + dx
-    return grad
+    if grad is None:
+        return np.zeros_like(x_adv)
+    return grad + np.float32(0.0) if skipped else grad

@@ -254,19 +254,27 @@ def load_model(path) -> nn.Model:
         nn.compose_shapes(layers, input_shape)
     except (ValueError, KeyError, TypeError, LayerSpecError) as exc:
         raise FormatError(f"unreadable header: {exc}", offset=8) from None
-    offset = 8 + hlen
-    params = []
-    for layer in layers:
-        group = []
-        for shape in nn.param_shapes(layer):
-            nbytes = math.prod(shape) * 4
-            if offset + nbytes > len(raw):
-                raise FormatError("truncated parameter data", offset=len(raw))
-            group.append(np.frombuffer(raw[offset : offset + nbytes], dtype="<f4").reshape(shape))
-            offset += nbytes
-        params.append(tuple(group))
-    if offset != len(raw):
-        raise FormatError(f"{len(raw) - offset} trailing bytes", offset=offset)
+    start = 8 + hlen
+    shapes = [nn.param_shapes(layer) for layer in layers]
+    end = start + 4 * sum(math.prod(shape) for group in shapes for shape in group)
+    if end > len(raw):
+        raise FormatError("truncated parameter data", offset=len(raw))
+    if end != len(raw):
+        raise FormatError(f"{len(raw) - end} trailing bytes", offset=end)
+    # a bytes slice of its own is aligned, which the checks below run faster on
+    payload = np.frombuffer(raw[start:end], dtype="<f4")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FormatError(f"parameter {first} is {payload[first]}, not finite",
+                          offset=start + 4 * first)
+    params, at = [], 0
+    for group in shapes:
+        arrays = []
+        for shape in group:
+            arrays.append(payload[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        params.append(tuple(arrays))
     try:
         return nn.Model(layers, params, input_shape, num_classes, model_id)
     except LayerSpecError as exc:

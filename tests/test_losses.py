@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import losses, nn
-from ensattack.errors import DegenerateClassifierError, EnsembleArityError
+from ensattack import losses, nn, zoo
+from ensattack.errors import DegenerateClassifierError, EnsembleArityError, ShapeError
 from ensattack.losses import AttackGoal, LossKind
+from ensattack.prng import stream
 
 finite_logits = st.lists(st.floats(-20, 20, width=32), min_size=2, max_size=8)
 CE = LossKind("cross_entropy")
@@ -167,6 +168,10 @@ def test_arity_and_fusion_validation():
         losses.ensemble_loss([z, z], [1.0], "weighted_loss", LossKind(), util.targeted(0))
     with pytest.raises(ValueError):
         losses.ensemble_loss([z], [1.0], "mean", LossKind(), util.targeted(0))
+    # the member logits are stacked, so every member must have C classes
+    with pytest.raises(ShapeError):
+        losses.ensemble_loss([z, np.zeros(3, np.float32)], [0.5, 0.5], "weighted_loss",
+                             LossKind(), util.targeted(0))
     models = [util.tiny_model(0, 0)]
     x = util.rand_image(0)
     with pytest.raises(EnsembleArityError):
@@ -249,3 +254,171 @@ def test_ensemble_gradient_matches_fd(fusion):
     fd = util.fd_gradient(lambda d: f(d - x), x + delta, 1e-3).astype(np.float64)
     rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
     assert rel < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the stacked fusion and the skip of fooled members, byte for byte against
+# the per-member references in util
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _fuzz_case(s, n):
+    """A fusion, a loss kind with kappa 0 or 2, a goal mode and n ensemble
+    weights: random, a vertex, partly zero, partly negative or uniform."""
+    fusion = losses.FUSION_KINDS[s.integer(3)]
+    loss = LossKind(("cw_margin", "cross_entropy")[s.integer(2)], (0.0, 2.0)[s.integer(2)])
+    mode = ("targeted", "untargeted")[s.integer(2)]
+    kind = s.integer(5)
+    if kind == 0:
+        w = s.uniform((n,))
+    elif kind == 1:
+        w = np.eye(n)[s.integer(n)]
+    elif kind == 2:
+        w = s.uniform((n,)) * (s.uniform((n,)) < 0.5)
+        w[s.integer(n)] = 0.5
+    elif kind == 3:
+        w = s.uniform((n,), -1.0, 1.0)
+    else:
+        w = np.full(n, 1.0 / n)
+    return fusion, loss, mode, losses.check_weights(n, w.astype(np.float64))
+
+
+def _fuzz_logits(s, n, c, goal):
+    """(n, c) logits with forced-fooled rows, argmax ties and, in some
+    draws, -inf and NaN entries."""
+    z = s.uniform((n, c), -6.0, 6.0)
+    if s.integer(3) == 0:
+        z = np.round(z)  # ties, at the argmax too
+    for r in range(n):
+        if s.integer(3) == 0:  # fooled: the goal's argmax condition holds
+            others = np.delete(z[r], goal.label)
+            if goal.mode == "targeted":
+                z[r, goal.label] = others.max() + s.integer(3)
+            else:
+                z[r, goal.label] = others.min() - s.integer(3)
+    special = s.integer(4)
+    if special:
+        cells = s.uniform((n, c)) < 0.15
+        z[cells] = (-np.inf, np.nan, np.inf)[special - 1]
+    return z.astype(np.float32)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN logits are drawn on purpose
+def test_stacked_loss_matches_the_per_member_reference_bitwise():
+    for k in range(2000):
+        s = stream(5, f"stacked/{k}")
+        n, c = 1 + s.integer(6), 2 + s.integer(9)
+        fusion, loss, mode, w = _fuzz_case(s, n)
+        goal = AttackGoal(mode, s.integer(c))
+        z = _fuzz_logits(s, n, c, goal)
+        values, g = losses.stacked_loss(z, goal, loss)
+        assert g.dtype == np.float32 and g.shape == (n, c)
+        for r in range(n):
+            ref_value, ref_g = util.ref_single_loss(z[r], goal, loss)
+            assert _bits(values[r]) == _bits(ref_value)
+            assert g[r].tobytes() == ref_g.tobytes()
+            one_value, one_g = losses.single_loss(z[r], goal, loss)
+            assert _bits(one_value) == _bits(ref_value)
+            assert one_g.tobytes() == ref_g.tobytes()
+        value, upstreams = losses._fuse(list(z), w, fusion, loss, goal)
+        ref_value, ref_upstreams = util.ref_fuse(list(z), w, fusion, loss, goal)
+        assert _bits(value) == _bits(ref_value)
+        assert upstreams.dtype == np.float32 and upstreams.shape == (n, c)
+        assert upstreams.tobytes() == np.array(ref_upstreams).tobytes()
+
+
+def _overflowing_model(seed):
+    """Finite parameters whose logits overflow to +-inf (and NaN margins)."""
+    d = int(np.prod(util.TINY_SHAPE))
+    s = stream(seed, "overflow")
+    weight = (s.uniform((util.TINY_CLASSES, d), -1.0, 1.0) * np.float32(3e38)).astype(np.float32)
+    params = [(), (weight, np.zeros(util.TINY_CLASSES, np.float32))]
+    return nn.Model([nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)], params,
+                    util.TINY_SHAPE, util.TINY_CLASSES, f"overflow-{seed}")
+
+
+def _member(s, k):
+    kind = s.integer(7)
+    if kind < 4:
+        return util.tiny_model(100 * k + kind, kind)
+    if kind == 4:
+        return util.const_model(hot=s.integer(util.TINY_CLASSES))
+    if kind == 5:
+        # a relu on the input turns a negative gradient at a zero pixel
+        # into -0.0, so a sum can be -0.0 only where one of these is live
+        d = int(np.prod(util.TINY_SHAPE))
+        layers = [nn.Relu(), nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)]
+        return zoo.build_model(layers, util.TINY_SHAPE, util.TINY_CLASSES, k, f"relu-{k}")
+    return _overflowing_model(k)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowing members are drawn on purpose
+def test_ensemble_input_gradient_matches_the_every_member_reference_bitwise():
+    skipped = 0
+    for k in range(500):
+        s = stream(6, f"grad/{k}")
+        n = 1 + s.integer(6)
+        models = [_member(s, k) for _ in range(n)]
+        fusion, loss, mode, w = _fuzz_case(s, n)
+        goal = AttackGoal(mode, s.integer(util.TINY_CLASSES))
+        x = util.rand_image(k)
+        delta = s.uniform(x.shape, -0.1, 0.1).astype(np.float32)
+        dark = s.uniform(x.shape) < 0.3
+        delta[dark] = -x[dark]  # pixels at 0, as the PM's box clamp leaves them
+        got = losses.ensemble_input_gradient(models, x, delta, w, fusion, loss, goal)
+        ref = util.ref_ensemble_input_gradient(models, x, delta, w, fusion, loss, goal)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        outputs = [nn.forward(m, x + delta) for m in models]
+        _, upstreams = losses._fuse(outputs, w, fusion, loss, goal)
+        skipped += int(not upstreams.any(axis=1).all())
+    assert skipped > 100  # the fuzz does exercise the skip
+
+
+def _count_backwards(monkeypatch):
+    calls = []
+    real = nn.backward
+
+    def spy(model, acts, upstream, *args, **kw):
+        calls.append(model.model_id)
+        return real(model, acts, upstream, *args, **kw)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fooled", range(5))
+def test_a_step_back_propagates_only_the_members_not_yet_fooled(fooled, monkeypatch):
+    label = 2
+    # a constant model that predicts the target is fooled; one that
+    # predicts another class is not
+    others = [c for c in range(util.TINY_CLASSES) if c != label]
+    models = [util.const_model(hot=label if i < fooled else others[i % 3]) for i in range(4)]
+    models = models[1::2] + models[::2]
+    x = util.rand_image(3)
+    delta = np.zeros_like(x)
+    w = np.full(4, 0.25)
+    goal = util.targeted(label)
+    calls = _count_backwards(monkeypatch)
+    g = losses.ensemble_input_gradient(models, x, delta, w, "weighted_loss", LossKind(), goal)
+    assert len(calls) == 4 - fooled
+    assert g.shape == x.shape and g.dtype == np.float32
+    assert not np.signbit(g[g == 0]).any()
+    # fooled by less than kappa: every member still has an upstream
+    calls.clear()
+    losses.ensemble_input_gradient(models, x, delta, w, "weighted_loss", LossKind(kappa=2.0), goal)
+    assert len(calls) == 4
+
+
+def test_a_member_without_parameters_is_never_skipped(monkeypatch):
+    # relu and flatten pass a -0.0 upstream through, so its zero is not +0.0
+    bare = nn.Model([nn.Relu()], [()], (4,), 4, "bare")
+    x = np.array([0.5, 0.1, 0.2, 0.3], np.float32)
+    calls = _count_backwards(monkeypatch)
+    g = losses.ensemble_input_gradient([bare], x, np.zeros_like(x), [-1.0], "weighted_loss",
+                                       LossKind(), util.targeted(0))
+    assert calls == ["bare"]
+    assert np.signbit(g).all()

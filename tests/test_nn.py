@@ -274,3 +274,37 @@ def test_forward_finite_on_random_models(seed):
     m = util.tiny_model(seed % 1000, seed % 4)
     z = nn.forward(m, util.rand_image(seed % 997))
     assert np.all(np.isfinite(z)) and z.shape == (util.TINY_CLASSES,)
+
+
+def _negative_models():
+    """Dense and conv layers whose weights are all negative, so every
+    product with a +0.0 upstream is -0.0."""
+    d = int(np.prod(util.TINY_SHAPE))
+    out = []
+    for layers in ([nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)],
+                   [nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Flatten(), nn.Dense(48, util.TINY_CLASSES)]):
+        m = zoo.build_model(layers, util.TINY_SHAPE, util.TINY_CLASSES, 5)
+        out.append(m.with_params([tuple(-np.abs(a) - np.float32(0.01) for a in group)
+                                  for group in m.params]))
+    return out
+
+
+def test_zero_upstream_back_propagates_to_positive_zero(zoo_bundle):
+    """The reverse pass of a +-0.0 upstream is +0.0 at the input, no sign
+    bit set, for every default architecture fresh and trained and for
+    all-negative weights: the ensemble gradient skips such a member and
+    adds +0.0 once in its place."""
+    _, dataset, trained = zoo_bundle
+    side = dataset.side
+    fresh = [zoo.build_model(layers, (1, side, side), dataset.num_classes, 3, model_id)
+             for model_id, layers in zoo.default_zoo_specs(side, dataset.num_classes)]
+    assert sorted(trained) == sorted(m.model_id for m in fresh)
+    for m in fresh + list(trained.values()) + _negative_models():
+        x = util.rand_image(1, m.input_shape)
+        acts = nn._forward_saved(m, x)
+        c = m.num_classes
+        for upstream in (np.zeros(c, np.float32), -np.zeros(c, np.float32),
+                         np.where(np.arange(c) % 2, np.float32(-0.0), np.float32(0.0))):
+            dx, _ = nn.backward(m, acts, upstream)
+            assert dx.shape == m.input_shape and not dx.any(), m.model_id
+            assert not np.signbit(dx).any(), m.model_id

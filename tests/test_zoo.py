@@ -1,9 +1,12 @@
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from ensattack import nn, zoo
@@ -198,6 +201,87 @@ def test_model_load_fault_injection(tmp_path):
                offset=8, contains="in_features")
     expect(with_header(conv_raw, lambda h: h["spec"]["layers"][0].update(stride=1.5)),
            offset=8, contains="stride")
+
+
+def test_model_load_refuses_non_finite_parameters(tmp_path):
+    m = util.tiny_model(0, 2)
+    p = tmp_path / "m.bem"
+    zoo.save_model(m, p)
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    start = 8 + hlen
+    n = m.param_count()
+    bias_at = start + 4 * (n - 1)  # the last bias of the final dense layer
+    weight_at = start + 4 * 7  # a conv weight
+
+    def load(edits):
+        blob = bytearray(raw)
+        for at, value in edits:
+            blob[at : at + 4] = np.float32(value).tobytes()
+        q = tmp_path / "bad.bem"
+        q.write_bytes(bytes(blob))
+        return zoo.load_model(q)
+
+    for edits, first in (([(bias_at, np.nan)], bias_at),
+                         ([(weight_at, np.inf)], weight_at),
+                         ([(bias_at, np.nan), (weight_at, -np.inf)], weight_at)):
+        with pytest.raises(FormatError, match="not finite") as err:
+            load(edits)
+        assert err.value.offset == first
+    # corrupt exponent bits: a float32 whose eight exponent bits (the low
+    # seven of its top byte, the top one of the next) are all set is inf or NaN
+    blob = bytearray(raw)
+    blob[weight_at + 3] |= 0x7F
+    blob[weight_at + 2] |= 0x80
+    q = tmp_path / "flipped.bem"
+    q.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="not finite") as err:
+        zoo.load_model(q)
+    assert err.value.offset == weight_at
+    # the largest finite float32 still loads
+    big = load([(weight_at, np.finfo(np.float32).max)])
+    assert np.finfo(np.float32).max in big.params[0][0]
+
+
+def _model_files():
+    files = []
+    for arch in range(len(util.tiny_layer_menu())):
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "m.bem")
+            zoo.save_model(util.tiny_model(arch, arch), p)
+            with open(p, "rb") as fh:
+                files.append(fh.read())
+    return files
+
+
+_MODEL_FILES = _model_files()
+
+
+@st.composite
+def _mutated_model_file(draw):
+    raw = draw(st.sampled_from(_MODEL_FILES))
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "append"]))
+    at = draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1 :]
+    extra = draw(st.binary(min_size=1, max_size=16))
+    return raw[:at] + extra + raw[at:] if kind == "insert" else raw + extra
+
+
+@given(_mutated_model_file())
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_model_file_loads_finite_or_raises_format_error(blob):
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "m.bem")
+        with open(p, "wb") as fh:
+            fh.write(blob)
+        try:
+            m = zoo.load_model(p)
+        except FormatError:
+            return
+    assert all(np.isfinite(a).all() for a in m.param_arrays())
 
 
 def test_dataset_round_trip_bitwise(tmp_path):

@@ -12,14 +12,19 @@ kernels can be checked against them bit for bit, and ref_param_grads is
 the full reverse pass built on them. per_sample_train and
 per_sample_accuracy are the same kind for the zoo: the trainer and
 accuracy loops that ran one sample at a time, so the batched ones can be
-checked against them bit for bit.
+checked against them bit for bit. ref_single_loss, ref_fuse and
+ref_ensemble_input_gradient are the same kind for the PM step: the
+per-member loss loop and the gradient that back-propagated every member,
+so the stacked fusion and the skip of fooled members can be checked
+against them bit for bit.
 """
 
 import numpy as np
 
 from ensattack import nn
-from ensattack.errors import TrainingDivergedError
-from ensattack.losses import AttackGoal, LossKind, single_loss
+from ensattack.errors import DegenerateClassifierError, TrainingDivergedError
+from ensattack.losses import (_P_FLOOR, AttackGoal, LossKind, check_weights, cross_entropy,
+                              single_loss)
 from ensattack.oracle import Oracle
 from ensattack.prng import stream
 from ensattack.zoo import BATCH_SIZE, WEIGHT_DECAY
@@ -160,6 +165,87 @@ def per_sample_accuracy(model, dataset):
     for img, label in zip(dataset.images, dataset.labels):
         hits += int(np.argmax(nn.forward(model, img)) == label)
     return hits / len(dataset)
+
+
+def _ref_check_logits(z: np.ndarray, label: int) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float32)
+    if z.ndim != 1 or z.size < 2:
+        raise DegenerateClassifierError(f"need a logit vector with C >= 2, got shape {z.shape}")
+    if label >= z.size:
+        raise DegenerateClassifierError(f"label {label} out of range for C={z.size}")
+    return z
+
+
+def ref_single_loss(z: np.ndarray, goal: AttackGoal, loss: LossKind) -> tuple:
+    """single_loss as it ran before the stacked fusion, one logit vector
+    at a time."""
+    z = _ref_check_logits(z, goal.label)
+    y = goal.label
+    targeted = goal.mode == "targeted"
+    if loss.kind == "cw_margin":
+        masked = z.copy()
+        masked[y] = -np.inf
+        j = int(np.argmax(masked))
+        # both differences are spelled out: z_y - z_j at a tie is +0.0,
+        # where -(z_j - z_y) would be -0.0
+        margin = float(z[j] - z[y]) if targeted else float(z[y] - z[j])
+        sign = np.float32(1.0 if targeted else -1.0)
+        g = np.zeros_like(z)
+        if margin > -float(loss.kappa):
+            g[j] = sign
+            g[y] = -sign
+        return max(margin, -float(loss.kappa)), g
+    nll, g = cross_entropy(z[None], [y])
+    nll, g = float(nll[0]), g[0]
+    return (nll, g) if targeted else (-nll, -g)
+
+
+def ref_fuse(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> tuple:
+    """losses._fuse as it ran before: one ref_single_loss per member, and
+    a list of upstreams."""
+    if fusion == "weighted_loss":
+        parts = [ref_single_loss(z, goal, loss) for z in outputs]
+        value = float(sum(wi * val for wi, (val, _) in zip(w, parts)))
+        return value, [np.float32(wi) * g for wi, (_, g) in zip(w, parts)]
+    if fusion == "weighted_logits":
+        fused = np.zeros_like(np.asarray(outputs[0], dtype=np.float32))
+        for wi, z in zip(w, outputs):
+            fused = fused + np.float32(wi) * np.asarray(z, dtype=np.float32)
+        value, u = ref_single_loss(fused, goal, loss)
+        return value, [np.float32(wi) * u for wi in w]
+    if fusion == "weighted_probabilities":
+        probs = [nn.softmax(z) for z in outputs]
+        p_bar = np.zeros(len(probs[0]), dtype=np.float64)
+        for wi, p in zip(w, probs):
+            p_bar += wi * p.astype(np.float64)
+        p_y = max(float(p_bar[goal.label]), _P_FLOOR)
+        targeted = goal.mode == "targeted"
+        # dL/dp_bar is a one-hot spike at the goal label
+        v = np.zeros(len(p_bar), dtype=np.float32)
+        v[goal.label] = np.float32(-1.0 / p_y if targeted else 1.0 / p_y)
+        # chain through each member's softmax: J^T v = p (v - <v, p>)
+        upstreams = [np.float32(wi) * (p * (v - np.float32(np.dot(v, p))))
+                     for wi, p in zip(w, probs)]
+        return float(-np.log(p_y)) if targeted else float(np.log(p_y)), upstreams
+    raise ValueError(f"unknown fusion {fusion!r}")
+
+
+def ref_ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
+                                goal: AttackGoal) -> np.ndarray:
+    """losses.ensemble_input_gradient as it ran before: one backward for
+    every member with a nonzero weight (every member under weighted_logits),
+    summed in member order."""
+    w = check_weights(len(models), w)
+    x_adv = np.asarray(x, dtype=np.float32) + np.asarray(delta, dtype=np.float32)
+    active = [i for i in range(len(models)) if fusion == "weighted_logits" or w[i] != 0.0]
+    saved = [nn._forward_saved(models[i], x_adv) for i in active]
+    _, upstreams = ref_fuse([acts[-1] for acts in saved], w[active], fusion, loss, goal)
+
+    grad = None
+    for i, acts, u in zip(active, saved, upstreams):
+        dx, _ = nn.backward(models[i], acts, u)
+        grad = dx if grad is None else grad + dx
+    return grad
 
 
 def naive_forward(model, x):
