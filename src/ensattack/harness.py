@@ -218,6 +218,10 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
         raise ConfigError(f"surrogate ids not in manifest: {unknown}")
     surrogates = [zoo.load_model(os.path.join(zoo_dir, by_id[sid]["file"]))
                   for sid in cfg.surrogate_ids]
+    image_shape = dataset.images.shape[1:]
+    wrong = [sid for sid, m in zip(cfg.surrogate_ids, surrogates) if m.input_shape != image_shape]
+    if wrong:
+        raise ConfigError(f"surrogates {wrong} do not take the dataset's {image_shape} images")
 
     victim_model = None
     if "model_id" in cfg.victim:
@@ -239,6 +243,11 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
     # copy over the same connection so q_used counts that image's queries only
     victim = (LocalOracle(victim_model, "soft") if victim_model is not None
               else connect(cfg.victim["url"], require_mode="soft"))
+    wrong = [sid for sid, m in zip(cfg.surrogate_ids, surrogates)
+             if m.num_classes != victim.num_classes]
+    if wrong:
+        raise ConfigError(f"surrogates {wrong} do not have the victim's "
+                          f"{victim.num_classes} classes")
     if provided is not None and provided >= victim.num_classes:
         raise ConfigError(f"goal_policy.label {provided} is out of range for "
                           f"{victim.num_classes} classes")

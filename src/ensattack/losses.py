@@ -7,6 +7,7 @@ the sign of a loss.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -19,6 +20,20 @@ FUSION_KINDS = ("weighted_probabilities", "weighted_logits", "weighted_loss")
 # floor for fused probabilities before log; keeps the loss finite when every
 # ensemble member assigns (float32) zero mass to the class of interest
 _P_FLOOR = 1e-12
+
+
+def check_number(name: str, value, positive: bool = True) -> None:
+    """ValueError unless value is a finite real number, > 0 or (with
+    positive=False) >= 0. A bool is not a number here, though Python counts
+    it as an int, and json.load reads Infinity and NaN."""
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +56,7 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in ("cw_margin", "cross_entropy"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not np.isfinite(self.kappa) or self.kappa < 0:
-            raise ValueError("kappa must be finite and >= 0")
+        check_number("kappa", self.kappa, positive=False)
 
 
 def _check_logits(z, label: int, ndim: int) -> np.ndarray:
@@ -142,36 +156,34 @@ def check_weights(n_members: int, w) -> np.ndarray:
 
 def _fuse(outputs, w, fusion: str, loss: LossKind, goal: AttackGoal) -> tuple:
     """(fused loss, dL/dz for each member as one float32 (N, C) array) over
-    per-model logits.
+    per-model logits, stacked and checked once.
 
-    weighted_loss applies the configured loss to the stacked member logits
-    in one stacked_loss call; weighted_logits applies it to the fused
-    logits; weighted_probabilities fuses softmax outputs and always applies
-    the log-probability form regardless of the configured LossKind.
+    weighted_loss sums the weighted member losses as Python floats in member
+    order; weighted_logits applies the loss to the fused logits;
+    weighted_probabilities fuses softmax outputs and always applies the
+    log-probability form regardless of the configured LossKind. Both fused
+    rows are summed in member order from +0.0.
     """
-    w32 = w.astype(np.float32)[:, None]
+    z = _check_logits(outputs, goal.label, 2)
+    w32, y = w.astype(np.float32)[:, None], goal.label
     if fusion == "weighted_loss":
-        values, g = stacked_loss(outputs, goal, loss)
-        # summed as Python floats in member order, from 0
+        values, g = stacked_loss(z, goal, loss)
         return float(sum(map(operator.mul, w.tolist(), values))), w32 * g
     if fusion == "weighted_logits":
-        fused = np.zeros_like(np.asarray(outputs[0], dtype=np.float32))
-        for wi, z in zip(w, outputs):
-            fused = fused + np.float32(wi) * np.asarray(z, dtype=np.float32)
-        value, u = single_loss(fused, goal, loss)
+        value, u = single_loss(nn._batch_sum(w32 * z), goal, loss)
         return value, w32 * u
     if fusion == "weighted_probabilities":
-        probs = [nn.softmax(z) for z in outputs]
-        p_bar = np.zeros(len(probs[0]), dtype=np.float64)
-        for wi, p in zip(w, probs):
-            p_bar += wi * p.astype(np.float64)
-        p_y = max(float(p_bar[goal.label]), _P_FLOOR)
+        probs = nn.softmax(z)
+        p_y = max(float(nn._batch_sum(w[:, None] * probs.astype(np.float64))[y]), _P_FLOOR)
         targeted = goal.mode == "targeted"
         # dL/dp_bar is a one-hot spike at the goal label
-        v = np.zeros(len(p_bar), dtype=np.float32)
-        v[goal.label] = np.float32(-1.0 / p_y if targeted else 1.0 / p_y)
-        # chain through each member's softmax: J^T v = p (v - <v, p>)
-        upstreams = w32 * np.array([p * (v - np.float32(np.dot(v, p))) for p in probs])
+        v = np.zeros(z.shape[1], dtype=np.float32)
+        v[y] = np.float32(-1.0 / p_y if targeted else 1.0 / p_y)
+        # chain through each member's softmax: J^T v = p (v - <v, p>), where
+        # <v, p> is exactly +0.0 + v_y p_y: the other products are +0.0, and
+        # a row with a non-finite logit is all NaN out of softmax
+        dot = np.float32(0.0) + probs[:, y] * v[y]
+        upstreams = w32 * (probs * (v - dot[:, None]))
         return float(-np.log(p_y)) if targeted else float(np.log(p_y)), upstreams
     raise ValueError(f"unknown fusion {fusion!r}")
 
@@ -207,11 +219,15 @@ def ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind,
       parameters. A member with no parameter layer passes a -0.0 upstream
       through, so it is never skipped.
 
-    EnsembleArityError, before any forward runs, unless check_weights
-    accepts w.
+    Before any forward runs: EnsembleArityError unless check_weights
+    accepts w, and ShapeError unless every member takes x + delta's shape.
     """
     w = check_weights(len(models), w)
     x_adv = np.asarray(x, dtype=np.float32) + np.asarray(delta, dtype=np.float32)
+    for m in models:
+        if m.input_shape != x_adv.shape:
+            raise ShapeError(f"image shape {x_adv.shape} does not match surrogate "
+                             f"{m.model_id!r} input {m.input_shape}")
     active = [i for i in range(len(models)) if fusion == "weighted_logits" or w[i] != 0.0]
     saved = [nn._forward_saved(models[i], x_adv) for i in active]
     _, upstreams = _fuse([acts[-1] for acts in saved], w[active], fusion, loss, goal)

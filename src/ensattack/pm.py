@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .losses import (FUSION_KINDS, AttackGoal, LossKind, check_weights,
+from .losses import (FUSION_KINDS, AttackGoal, LossKind, check_number, check_weights,
                      ensemble_input_gradient)
 
 # relative slack for the l2 feasibility predicate: one projection leaves
@@ -26,8 +26,7 @@ class Budget:
     def __post_init__(self):
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        check_number("eps", self.eps)
 
 
 def default_step(budget: Budget, steps: int) -> float:
@@ -48,8 +47,8 @@ class PMConfig:
     def __post_init__(self):
         if type(self.steps) is not int or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size is not None:
+            check_number("step_size", self.step_size)
         if self.fusion not in FUSION_KINDS:
             raise ValueError(f"fusion must be one of {FUSION_KINDS}, got {self.fusion!r}")
 
@@ -101,8 +100,8 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
     is safe. ``on_step(t, delta)`` is called after each iteration when given
     (instrumentation only; it must not mutate delta). Returns (delta, x_star)
     with x_star = x + delta. ValueError if x or delta_init is not finite;
-    EnsembleArityError, before any forward runs, unless
-    losses.check_weights accepts w.
+    before any forward runs, EnsembleArityError unless losses.check_weights
+    accepts w, and ShapeError unless every model takes x's shape.
     """
     x = np.asarray(x, dtype=np.float32)
     delta_init = np.asarray(delta_init, dtype=np.float32)

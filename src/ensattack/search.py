@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from . import pm as pm_mod
-from .losses import AttackGoal, LossKind, single_loss
+from .losses import AttackGoal, LossKind, check_number, single_loss
 from .oracle import is_success, require_soft
 from .prng import stream
 
@@ -33,8 +33,8 @@ class SearchConfig:
     def __post_init__(self):
         if type(self.max_queries) is not int or self.max_queries < 1:
             raise ValueError(f"max_queries must be an integer >= 1, got {self.max_queries!r}")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if self.eta is not None:
+            check_number("eta", self.eta)
         if self.order not in ("cyclic", "random"):
             raise ValueError(f"unknown order {self.order!r}")
         if self.select_rule not in ("monotone_three_way", "paper_two_way"):

@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from ensattack import harness, nn, pm, server, zoo
@@ -101,9 +104,82 @@ def test_build_search_config():
                                ({}, [("steps", 2)]),
                                ({}, {"budget": {"norm": "l3", "eps": 0.1}}),
                                ({"speed": 9}, {}),
-                               ({}, {"warp": 1})):
+                               ({}, {"warp": 1}),
+                               # json.load reads Infinity, and true is an int to Python
+                               ({}, {"budget": {"norm": "linf", "eps": math.inf}}),
+                               ({}, {"budget": {"norm": "l2", "eps": True}}),
+                               ({}, {"budget": {"norm": "linf", "eps": 10**400}}),
+                               ({}, {"step_size": math.inf}),
+                               ({}, {"step_size": True}),
+                               ({"eta": math.inf}, {}),
+                               ({"eta": True}, {}),
+                               ({}, {"loss": {"kappa": True}}),
+                               ({}, {"loss": {"kappa": math.inf}})):
         with pytest.raises(ConfigError):
             harness.build_search_config(bad_search, bad_pm)
+
+
+_VALID_CONFIG = _raw_config(
+    search={"max_queries": 12, "eta": 0.05, "order": "random", "select_rule": "paper_two_way"},
+    pm={"steps": 4, "step_size": 0.02, "fusion": "weighted_logits",
+        "budget": {"norm": "l2", "eps": 0.9}, "loss": {"kind": "cw_margin", "kappa": 1.5}},
+    seed=5, max_images=3, allow_victim_overlap=False,
+    goal_policy={"mode": "targeted", "policy": "provided", "label": 2})
+
+# the numeric edge cases json.load can produce, drawn often, or any JSON value
+_EDGES = [math.inf, -math.inf, math.nan, True, False, 0, -1, 10**400]
+_json_values = st.sampled_from(_EDGES) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=4)
+
+
+def _objects(node):
+    """Every JSON object in node, node included if it is one."""
+    if isinstance(node, dict):
+        yield node
+        for value in node.values():
+            yield from _objects(value)
+
+
+# an added key is one the parser knows: any other is refused at once
+_KEYS = sorted({k for obj in _objects(_VALID_CONFIG) for k in obj} | {"order_seed"})
+
+
+@st.composite
+def _mutated_config(draw):
+    raw = copy.deepcopy(_VALID_CONFIG)
+    for _ in range(draw(st.integers(1, 2))):
+        obj = draw(st.sampled_from(list(_objects(raw))))
+        kind = draw(st.sampled_from(["replace", "delete", "add"] if obj else ["add"]))
+        if kind == "add":
+            obj[draw(st.sampled_from(_KEYS))] = draw(_json_values)
+        else:
+            key = draw(st.sampled_from(sorted(obj)))
+            if kind == "delete":
+                del obj[key]
+            else:
+                obj[key] = draw(_json_values)
+    return raw
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+@given(_mutated_config())
+@settings(max_examples=500, deadline=None)
+def test_a_mutated_config_parses_to_finite_numbers_or_raises_config_error(raw):
+    try:
+        cfg = harness.parse_experiment_config(raw)
+    except ConfigError:
+        return
+    sc = harness.build_search_config(cfg.search, cfg.pm)
+    assert all(map(_is_number, (sc.max_queries, sc.pm.steps, sc.pm.budget.eps,
+                                sc.pm.loss.kappa, sc.pm.resolved_step(), cfg.seed)))
+    for optional in (sc.eta, sc.pm.step_size, cfg.max_images, cfg.goal_policy.get("label")):
+        assert optional is None or _is_number(optional)
 
 
 def test_summarize_examples():
@@ -238,6 +314,45 @@ def test_run_experiment_rejects_label_beyond_victim_classes(zoo_dir, zoo_bundle,
                 harness.run_experiment(_experiment_cfg(zoo_dir, out, goal_policy=goal,
                                                        victim={"url": handle.url}))
             assert handle.request_count == 1  # the handshake only
+    assert not os.path.exists(out)
+
+
+def _misfit_manifest(zoo_dir, tmp_path):
+    """A manifest over the session zoo's files plus two surrogates that do
+    not fit it: one with 3 classes, one that takes 10x10 images."""
+    manifest = zoo.load_manifest(os.path.join(zoo_dir, "manifest.json"))
+    entries = [dict(e, file=os.path.join(zoo_dir, e["file"])) for e in manifest["models"]]
+    for mid, shape, classes in (("three-class", (1, 12, 12), 3), ("ten-pixel", (1, 10, 10), 8)):
+        model = zoo.build_model([nn.Flatten(), nn.Dense(int(np.prod(shape)), classes)],
+                                shape, classes, 0, mid)
+        path = str(tmp_path / f"{mid}.bem")
+        zoo.save_model(model, path)
+        entries.append({"id": mid, "file": path})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(dict(manifest, models=entries)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("victim", ["local", "served"])
+def test_run_experiment_refuses_surrogates_that_do_not_fit_the_run(zoo_dir, zoo_bundle,
+                                                                  tmp_path, victim):
+    # checked before the first image: the class count against the victim
+    # handle, after its handshake, and the input shape against the dataset
+    manifest = _misfit_manifest(zoo_dir, tmp_path)
+    out = str(tmp_path / "out")
+    for misfit, match, requests in (("three-class", "victim's 8 classes", 1),
+                                    ("ten-pixel", r"dataset's \(1, 12, 12\) images", 0)):
+        over = {"zoo_manifest": manifest, "surrogate_ids": ["cnn-a", misfit]}
+        if victim == "local":
+            with pytest.raises(ConfigError, match=match) as err:
+                harness.run_experiment(_experiment_cfg(zoo_dir, out, **over))
+        else:
+            with server.serve(zoo_bundle[2]["victim-mlp"], mode="soft") as handle:
+                with pytest.raises(ConfigError, match=match) as err:
+                    harness.run_experiment(_experiment_cfg(zoo_dir, out, **over,
+                                                           victim={"url": handle.url}))
+                assert handle.request_count == requests
+        assert misfit in str(err.value) and "cnn-a" not in str(err.value)
     assert not os.path.exists(out)
 
 

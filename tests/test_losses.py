@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import losses, nn, zoo
+from ensattack import losses, nn, pm, zoo
 from ensattack.errors import DegenerateClassifierError, EnsembleArityError, ShapeError
 from ensattack.losses import AttackGoal, LossKind
 from ensattack.prng import stream
@@ -22,8 +22,9 @@ def test_goal_and_kind_validation():
         AttackGoal("targeted", -1)
     with pytest.raises(ValueError):
         LossKind("hinge")
-    with pytest.raises(ValueError):
-        LossKind(kappa=-0.1)
+    for kappa in (-0.1, math.inf, math.nan, True, 10**400, "1"):
+        with pytest.raises(ValueError):
+            LossKind(kappa=kappa)
 
 
 def test_cw_margin_examples():
@@ -169,9 +170,10 @@ def test_arity_and_fusion_validation():
     with pytest.raises(ValueError):
         losses.ensemble_loss([z], [1.0], "mean", LossKind(), util.targeted(0))
     # the member logits are stacked, so every member must have C classes
-    with pytest.raises(ShapeError):
-        losses.ensemble_loss([z, np.zeros(3, np.float32)], [0.5, 0.5], "weighted_loss",
-                             LossKind(), util.targeted(0))
+    for fusion in losses.FUSION_KINDS:
+        with pytest.raises(ShapeError):
+            losses.ensemble_loss([z, np.zeros(3, np.float32)], [0.5, 0.5], fusion,
+                                 LossKind(), util.targeted(0))
     models = [util.tiny_model(0, 0)]
     x = util.rand_image(0)
     with pytest.raises(EnsembleArityError):
@@ -422,3 +424,41 @@ def test_a_member_without_parameters_is_never_skipped(monkeypatch):
                                        LossKind(), util.targeted(0))
     assert calls == ["bare"]
     assert np.signbit(g).all()
+
+
+def test_a_surrogate_must_take_the_image_shape(monkeypatch):
+    # a flatten-first model of the right size, and one of the wrong size:
+    # neither may run on a (1, 6, 6) image
+    x = util.rand_image(5)
+    forwards = []
+    real = nn._forward_saved
+    monkeypatch.setattr(nn, "_forward_saved", lambda m, a: forwards.append(m) or real(m, a))
+    for shape in ((1, 36, 1), (1, 5, 5)):
+        d = int(np.prod(shape))
+        odd = zoo.build_model([nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)], shape,
+                              util.TINY_CLASSES, 0, "odd")
+        models = [util.tiny_model(5), odd]
+        with pytest.raises(ShapeError, match="odd"):
+            losses.ensemble_input_gradient(models, x, np.zeros_like(x), [0.5, 0.5],
+                                           "weighted_loss", LossKind(), util.targeted(0))
+        with pytest.raises(ShapeError, match="odd"):
+            pm.pm_run(x, util.targeted(0), models, [0.5, 0.5], np.zeros_like(x),
+                      pm.PMConfig(pm.Budget("linf", 0.1), steps=2))
+    assert forwards == []
+
+
+@pytest.mark.parametrize("mode", ["targeted", "untargeted"])
+def test_probability_fusion_matches_the_reference_at_huge_weights(mode):
+    # a weight near 1e50 makes v_y = -1/p_y underflow to -0.0 under a
+    # targeted goal, and one beyond the float32 range makes its member's
+    # upstream NaN; the other members' upstreams must still match bit for bit
+    zs = [np.array([1.0, 2.0, 3.0], np.float32), np.array([0.0, -1.0, 5.0], np.float32)]
+    goal = AttackGoal(mode, 0)
+    for w in ([1e50, 1.0], [1e50, 0.0], [1.0, 1e60], [1e46, 1.0], [-1e46, 1.0]):
+        w = np.array(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, upstreams = losses._fuse(zs, w, "weighted_probabilities", LossKind(), goal)
+            ref_value, ref_upstreams = util.ref_fuse(zs, w, "weighted_probabilities",
+                                                     LossKind(), goal)
+        assert _bits(value) == _bits(ref_value)
+        assert upstreams.tobytes() == np.stack(ref_upstreams).tobytes()

@@ -258,8 +258,10 @@ _MODEL_FILES = _model_files()
 
 
 @st.composite
-def _mutated_model_file(draw):
-    raw = draw(st.sampled_from(_MODEL_FILES))
+def _mutated_file(draw, files):
+    """One of files truncated, with one byte flipped, or with bytes inserted
+    or appended."""
+    raw = draw(st.sampled_from(files))
     kind = draw(st.sampled_from(["truncate", "flip", "insert", "append"]))
     at = draw(st.integers(0, len(raw) - 1))
     if kind == "truncate":
@@ -270,7 +272,7 @@ def _mutated_model_file(draw):
     return raw[:at] + extra + raw[at:] if kind == "insert" else raw + extra
 
 
-@given(_mutated_model_file())
+@given(_mutated_file(_MODEL_FILES))
 @settings(max_examples=200, deadline=None)
 def test_a_mutated_model_file_loads_finite_or_raises_format_error(blob):
     with tempfile.TemporaryDirectory() as d:
@@ -282,6 +284,36 @@ def test_a_mutated_model_file_loads_finite_or_raises_format_error(blob):
         except FormatError:
             return
     assert all(np.isfinite(a).all() for a in m.param_arrays())
+
+
+def _dataset_files():
+    files = []
+    for ds in (_small_ds(), zoo.make_synthetic_dataset(num_classes=2, per_class=2, side=4, seed=1)):
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "d.bds")
+            zoo.save_dataset(ds, p)
+            with open(p, "rb") as fh:
+                files.append(fh.read())
+    return files
+
+
+_DATASET_FILES = _dataset_files()
+
+
+@given(_mutated_file(_DATASET_FILES))
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_dataset_file_loads_in_range_or_raises_format_error(blob):
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "d.bds")
+        with open(p, "wb") as fh:
+            fh.write(blob)
+        try:
+            ds = zoo.load_dataset(p)
+        except FormatError:
+            return
+    assert ds.images.dtype == np.float32 and ds.images.shape == (len(ds), 1, ds.side, ds.side)
+    assert ((ds.images >= 0.0) & (ds.images <= 1.0)).all()
+    assert ((ds.labels >= 0) & (ds.labels < ds.num_classes)).all()
 
 
 def test_dataset_round_trip_bitwise(tmp_path):
