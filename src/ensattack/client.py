@@ -1,49 +1,100 @@
 """Remote oracle: the HTTP client side of the server.py wire protocol.
 
 RemoteOracle is an oracle.Oracle whose answers come from a server, so
-attacks run unchanged over the network. Its handles share one
-requests.Session: fresh() gives a new count and log over the same
-connection. Everything the server sends is checked before it is used; a
-reply the client cannot read as the protocol says raises ProtocolError, a
-refused or failed request TransportError, and neither counts as a query.
+attacks run unchanged over the network. connect() opens one keep-alive
+HTTP/1.1 connection with the standard library's http.client (which turns
+off Nagle's algorithm on it) and makes the /v1/meta handshake over it. The
+handle it returns, and every fresh() copy of it, send their predicts over
+that one connection; each copy keeps its own count and log. The client
+reads no proxy or netrc settings from the environment: it always talks to
+the victim directly.
+
+Before each request, an idle connection that the server has closed is
+reopened. A request whose body has gone out is never sent again, because
+the server may already have charged it to the budget. Everything the
+server sends is checked before it is used: a reply the client cannot read
+as the protocol says raises ProtocolError, a refused or failed request
+TransportError, and neither counts as a query. A failed request closes the
+connection, so the next one starts on a new connection.
 """
 
 import base64
+import http.client
+import json
+import select
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
-from .errors import CapabilityError, ConfigError, ProtocolError, TransportError
+from .errors import (CapabilityError, ConfigError, EnsAttackError, ProtocolError,
+                     TransportError)
 from .oracle import Oracle
+
+# longest reply body read; a soft reply takes about 26 bytes per class
+MAX_REPLY_BYTES = 1 << 20
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _round_trip(conn: http.client.HTTPConnection, method: str, path: str,
+                body: bytes | None, log=None):
+    """The JSON payload of the 200 reply to one request over ``conn``.
+
+    A request that fails or is refused raises TransportError, and a reply
+    that is not JSON ProtocolError; each carries ``log`` as its partial_log.
+    Whatever the exception, ``conn`` is closed, so the next request opens a
+    new connection.
+    """
+    what = path.rsplit("/", 1)[1]  # "meta" or "predict", for the messages
+    try:
+        # a readable idle socket means the server has closed it (or has
+        # written out of turn): start this request on a new connection
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        try:
+            conn.request(method, path, body, _JSON_HEADERS if body is not None else {})
+            reply = conn.getresponse()
+            # bounded: http.client would allocate a declared length up front
+            raw = reply.read(MAX_REPLY_BYTES + 1)
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(f"{what} request failed: {exc!r}", partial_log=log) from None
+        if len(raw) > MAX_REPLY_BYTES:
+            raise ProtocolError(f"{what} reply is longer than {MAX_REPLY_BYTES} bytes",
+                                partial_log=log)
+        if reply.length:  # the server hung up before the declared length arrived
+            raise TransportError(f"{what} reply ended {reply.length} bytes short",
+                                 partial_log=log)
+        try:
+            payload, readable = json.loads(raw), True
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
+            payload, readable = None, False
+        if reply.status != 200:
+            detail = payload.get("error", "") if isinstance(payload, dict) else ""
+            raise TransportError(f"{what} returned {reply.status}: {detail}", partial_log=log)
+        if not readable:
+            raise ProtocolError(f"{what} reply is not JSON", partial_log=log)
+        return payload
+    except BaseException:  # an interrupt, too, leaves the exchange half done
+        conn.close()
+        raise
 
 
 class RemoteOracle(Oracle):
     def __init__(self, url: str, num_classes: int, mode: str, input_shape: tuple,
-                 session: requests.Session, timeout: float):
+                 session: http.client.HTTPConnection, path_prefix: str):
         super().__init__(mode, num_classes)
         self.url = url
         self.input_shape = input_shape
-        self._session = session
-        self._timeout = timeout
+        self._session = session  # the one connection every fresh() copy shares
+        self._predict_path = f"{path_prefix}/v1/predict"
 
     def _predict(self, image):
         image = np.ascontiguousarray(image, dtype="<f4")
-        body = {
+        body = json.dumps({
             "shape": list(image.shape),
             "pixels": base64.b64encode(image.tobytes()).decode("ascii"),
-        }
-        try:
-            r = self._session.post(f"{self.url}/v1/predict", json=body, timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"predict request failed: {exc}", partial_log=self.log) from None
-        try:
-            payload = r.json()
-        except ValueError:
-            payload = None
-        if r.status_code != 200:
-            detail = payload.get("error", "") if isinstance(payload, dict) else ""
-            raise TransportError(f"predict returned {r.status_code}: {detail}",
-                                 partial_log=self.log)
+        }).encode("ascii")
+        payload = _round_trip(self._session, "POST", self._predict_path, body, self.log)
         if not isinstance(payload, dict):
             raise ProtocolError("predict response is not a JSON object", partial_log=self.log)
         if self.mode == "soft":
@@ -71,17 +122,33 @@ class RemoteOracle(Oracle):
 
 def connect(url: str, require_mode: str | None = None, expect_classes: int | None = None,
             timeout: float = 10.0) -> RemoteOracle:
-    """Performs the /v1/meta handshake and returns a query-capable handle."""
+    """Performs the /v1/meta handshake and returns a query-capable handle.
+
+    ``url`` is http://host[:port] with an optional path prefix; ``timeout``
+    bounds the connect and each wait for the server, in seconds.
+    """
     url = url.rstrip("/")
-    session = requests.Session()
     try:
-        r = session.get(f"{url}/v1/meta", timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(f"meta request failed: {exc}") from None
-    if r.status_code != 200:
-        raise TransportError(f"meta returned {r.status_code}")
+        parts = urlsplit(url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError("need http://host[:port]")
+        parts.hostname.encode("idna")  # the check the socket layer makes later
+        conn = http.client.HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
+    except (ValueError, http.client.HTTPException) as exc:
+        raise TransportError(f"cannot use victim URL {url!r}: {exc}") from None
+    meta = _round_trip(conn, "GET", f"{parts.path}/v1/meta", None)
     try:
-        meta = r.json()
+        num_classes, mode, input_shape = _check_meta(meta, require_mode, expect_classes)
+    except EnsAttackError:
+        conn.close()
+        raise
+    return RemoteOracle(url, num_classes, mode, input_shape, conn, parts.path)
+
+
+def _check_meta(meta, require_mode, expect_classes) -> tuple:
+    """(num_classes, mode, input_shape) from a /v1/meta payload, once the
+    server is one the caller can use."""
+    try:
         num_classes = int(meta["num_classes"])
         mode = meta["mode"]
         input_shape = tuple(int(v) for v in meta["input_shape"])
@@ -93,4 +160,4 @@ def connect(url: str, require_mode: str | None = None, expect_classes: int | Non
         raise CapabilityError(f"server mode is {mode!r} but {require_mode!r} is required")
     if expect_classes is not None and num_classes != expect_classes:
         raise ConfigError(f"server reports {num_classes} classes, expected {expect_classes}")
-    return RemoteOracle(url, num_classes, mode, input_shape, session, timeout)
+    return num_classes, mode, input_shape

@@ -27,6 +27,15 @@ class Budget:
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
         check_number("eps", self.eps)
+        _check_float32("eps", self.eps)
+
+
+def _check_float32(name: str, value) -> None:
+    """ValueError unless ``value`` stays finite as the float32 the PM steps
+    in: a finite 1e39 overflows there, and the PM would return NaN."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(value)):
+            raise ValueError(f"{name} must be finite in float32, got {value!r}")
 
 
 def default_step(budget: Budget, steps: int) -> float:
@@ -49,6 +58,7 @@ class PMConfig:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.step_size is not None:
             check_number("step_size", self.step_size)
+        _check_float32("step size (3*eps/steps by default)", self.resolved_step())
         if self.fusion not in FUSION_KINDS:
             raise ValueError(f"fusion must be one of {FUSION_KINDS}, got {self.fusion!r}")
 

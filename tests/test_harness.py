@@ -114,7 +114,11 @@ def test_build_search_config():
                                ({"eta": math.inf}, {}),
                                ({"eta": True}, {}),
                                ({}, {"loss": {"kappa": True}}),
-                               ({}, {"loss": {"kappa": math.inf}})):
+                               ({}, {"loss": {"kappa": math.inf}}),
+                               # finite, but not in float32, where the PM steps
+                               ({}, {"budget": {"norm": "linf", "eps": 1e39}}),
+                               ({}, {"step_size": 1e39}),
+                               ({}, {"steps": 1, "budget": {"norm": "linf", "eps": 2e38}})):
         with pytest.raises(ConfigError):
             harness.build_search_config(bad_search, bad_pm)
 

@@ -37,6 +37,20 @@ def test_pm_config_validation():
     assert pm.PMConfig(budget=b, step_size=0.01).resolved_step() == 0.01
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pm.Budget("linf", 1e39),
+    lambda: pm.Budget("l2", 10**39),
+    lambda: pm.PMConfig(pm.Budget("linf", 0.1), steps=2, step_size=1e39),
+    # eps fits in float32, but the default step 3*eps/T does not
+    lambda: pm.PMConfig(pm.Budget("linf", 2e38), steps=1),
+], ids=["eps", "int eps", "step_size", "default step"])
+def test_numbers_beyond_the_float32_range_are_refused(make):
+    # pm_run steps in float32, where these overflow and the PM returned NaN
+    with pytest.raises(ValueError, match="float32"):
+        make()
+    assert pm.PMConfig(pm.Budget("linf", 2e38), steps=2).resolved_step() == 3e38
+
+
 def test_project_examples():
     x = np.full(2, 0.5, np.float32)
     out = pm.project(np.array([0.2, -0.05], np.float32), x, pm.Budget("linf", 0.1))

@@ -1,8 +1,10 @@
 import base64
 import json
 import math
+import os
 import socket
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from ensattack import client, nn, oracle, server
@@ -291,9 +295,28 @@ def test_client_raises_transport_error_on_400(soft_pair):
     assert orc.count == 0
 
 
+def test_the_package_does_not_load_requests():
+    # the client speaks HTTP with the standard library; requests is a test
+    # dependency only
+    code = ("import sys, ensattack.harness, ensattack.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'requests', 'urllib3'}))")
+    src = os.path.dirname(os.path.dirname(client.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_connect_dead_url():
     with pytest.raises(TransportError):
         client.connect("http://127.0.0.1:9", timeout=0.75)
+
+
+@pytest.mark.parametrize("url", ["ftp://127.0.0.1:9", "127.0.0.1:9", "http://", "http://:9",
+                                 "http://127.0.0.1:99999", "http://127.0.0.1:nine",
+                                 "http://bad..host/", "http://a b/"])
+def test_connect_refuses_an_unusable_url(url):
+    with pytest.raises(TransportError):
+        client.connect(url, timeout=0.75)
 
 
 def test_capability_and_config_checks():
@@ -400,3 +423,168 @@ def test_float32_round_trip_is_exact(soft_pair):
     for k in range(10):
         x = util.rand_image(400 + k)
         assert np.array_equal(orc.query(x).logits, nn.forward(model, x))
+
+
+_META_4 = json.dumps({"num_classes": 4, "mode": "soft", "input_shape": [1, 6, 6]}).encode()
+_LOGITS_4 = json.dumps({"logits": [0.5, -1.25, 3.0, 2.0]}).encode()
+
+
+def _http_reply(body, status=b"HTTP/1.1 200 OK", headers=None):
+    """Reply bytes with a Content-Length and no Connection header."""
+    if headers is None:
+        headers = [b"Content-Type: application/json", b"Content-Length: %d" % len(body)]
+    return b"\r\n".join([status, *headers, b"", body])
+
+
+class _RawReplyHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_GET(self):
+        self.wfile.write(_http_reply(self.server.meta))
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.wfile.write(self.server.reply)
+        self.close_connection = not self.server.keep_open
+
+
+class _RawRogue(ThreadingHTTPServer):
+    """A loopback server that answers a GET with ``meta`` and keeps the
+    connection, and answers a POST with the raw bytes ``self.reply`` and
+    then closes the connection, unless ``self.keep_open``. ``self.closed``
+    is set each time it has closed a connection."""
+
+    daemon_threads = True
+
+    def __init__(self, reply=b"", meta=_META_4):
+        super().__init__(("127.0.0.1", 0), _RawReplyHandler)
+        self.reply, self.keep_open, self.meta = reply, False, meta
+        self.closed = threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        threading.Thread(target=self.serve_forever, daemon=True,
+                         kwargs={"poll_interval": server.POLL_INTERVAL_S}).start()
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self.server_close()
+
+
+def test_client_reopens_a_connection_the_server_closed():
+    # each reply comes under HTTP/1.1 with no "Connection: close", and then
+    # the server hangs up; a client that reused the dead connection would
+    # send its predict into it and get no reply
+    with _RawRogue(_http_reply(_LOGITS_4)) as rogue:
+        orc = client.connect(rogue.url)
+        for k in range(2):
+            rogue.closed.clear()
+            orc.query(util.rand_image(800 + k))
+            assert rogue.closed.wait(3.0)
+        assert orc.count == 2
+
+
+def test_next_query_reconnects_after_a_transport_error(monkeypatch):
+    with _RawRogue(b"") as rogue:  # hangs up before any reply
+        orc = client.connect(rogue.url)
+        with pytest.raises(TransportError) as err:
+            orc.query(util.rand_image(810))
+        assert err.value.partial_log is orc.log and orc.count == 0
+        assert orc._session.sock is None
+        rogue.reply, rogue.keep_open = _http_reply(_LOGITS_4), True
+        assert orc.query(util.rand_image(811)).label == 2
+        assert orc.query(util.rand_image(812)).label == 2
+        assert orc.count == 2
+    # the same after a refusal by a real server, which keeps its connection
+    model = util.tiny_model(58, 1)
+    with server.serve(model, mode="soft") as handle:
+        orc = client.connect(handle.url)
+        bad = util.rand_image(813)
+        bad.flat[0] = 2.0
+        with pytest.raises(TransportError, match="400"):
+            orc.query(bad)
+        assert orc._session.sock is None
+        x = util.rand_image(814)
+        assert np.array_equal(orc.query(x).logits, nn.forward(model, x))
+        # an interrupt between a request and its reply leaves no half-done
+        # exchange on the connection either
+
+        def interrupted():
+            raise KeyboardInterrupt
+        monkeypatch.setattr(orc._session, "getresponse", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            orc.query(x)
+        monkeypatch.undo()
+        assert np.array_equal(orc.query(x).logits, nn.forward(model, x))
+        assert orc.count == 2
+
+
+_MUTATIONS = ("hang up", "status", "headers", "length", "body", "truncate")
+_STATUS_LINES = [b"HTTP/1.0 200 OK", b"HTTP/1.1 204 No Content", b"HTTP/1.1 abc OK",
+                 b"HTTP/1.1", b"", b"ICY 200 OK", b"HTTP/1.1 2000 OK",
+                 b"HTTP/1.1 100 Continue", b"\xff\xfe 200"]
+_BODIES = [b"\xff\xfe\xfd{\"logits\"", b"[" * 100000, b"{" * 3000,
+           "{\"logits\": [1, 2, 3, \"\u00e9\"]}".encode("latin-1"), b""]
+_EXTRA_HEADERS = [[b"X-Long: " + b"a" * 70000], [b"X-%d: v" % i for i in range(120)],
+                  [b"no colon here"], [b"\xff\xfe: \x80"], [b" folded continuation"],
+                  [b"Transfer-Encoding: chunked"], [b"Connection: close"]]
+
+
+@st.composite
+def _rogue_predict_replies(draw):
+    """(reply bytes, whether the server keeps the connection after it): a
+    valid soft reply with up to two of _MUTATIONS."""
+    mutations = draw(st.sets(st.sampled_from(_MUTATIONS), max_size=2))
+    if "hang up" in mutations:  # before any reply
+        return b"", False
+    body = _LOGITS_4
+    if "body" in mutations:  # not UTF-8, nested too deep, not the protocol's, or empty
+        body = draw(st.sampled_from(_BODIES) | st.binary(max_size=64))
+    length = len(body)
+    if "truncate" in mutations:  # the server hangs up before the whole body
+        body = body[:draw(st.integers(0, max(len(body) - 1, 0)))]
+    if "length" in mutations:
+        length = draw(st.sampled_from([10**12, "abc", "-1", "", "1 2"])
+                      | st.integers(0, len(body) + 64))
+    status = b"HTTP/1.1 200 OK"
+    if "status" in mutations:
+        status = draw(st.sampled_from(_STATUS_LINES) | st.binary(max_size=24))
+    headers = [b"Content-Type: application/json", b"Content-Length: %s" % str(length).encode()]
+    if "headers" in mutations:  # oversized, too many or malformed
+        headers += draw(st.sampled_from(_EXTRA_HEADERS))
+    # a server that sends less than it declares, or an unframed body, has
+    # to hang up, or the client would wait out its timeout
+    framed = (status == b"HTTP/1.1 200 OK" and isinstance(length, int) and length <= len(body)
+              and len(headers) == 2)
+    return _http_reply(body, status, headers), framed and draw(st.booleans())
+
+
+def test_client_survives_rogue_predict_replies():
+    # only the client's typed errors escape, whatever the predict reply; a
+    # failed query is not counted and hands over the log so far. The handles
+    # share one connection across examples, so each also starts wherever the
+    # previous reply left it.
+    with _RawRogue() as rogue:
+        base = client.connect(rogue.url, timeout=2.0)
+
+        @given(_rogue_predict_replies())
+        @settings(max_examples=300, deadline=None)
+        def check(case):
+            rogue.reply, rogue.keep_open = case
+            orc = base.fresh()
+            log = orc.log
+            try:
+                resp = orc.query(util.rand_image(820))
+            except TransportError as err:
+                assert err.partial_log is log
+                assert orc.count == 0 and log == []
+            else:
+                assert orc.count == 1
+                assert resp.logits.shape == (4,) and np.isfinite(resp.logits).all()
+
+        check()
