@@ -65,13 +65,10 @@ def _cmd_attack(args) -> None:
 
 
 def _cmd_sweep_triangle(args) -> None:
-    import os
-
-    import numpy as np
-
-    from . import harness, nn, zoo
+    from . import harness, zoo
     from . import pm as pm_mod
     from .losses import AttackGoal
+    from .oracle import LocalOracle
 
     surrogate_ids = [s for s in args.surrogates.split(",") if s]
     if len(surrogate_ids) != 3:
@@ -90,7 +87,7 @@ def _cmd_sweep_triangle(args) -> None:
         goal = AttackGoal("untargeted", y)
     else:
         target = args.target if args.target is not None else \
-            harness.pick_target(nn.forward(victim, x), "easiest", y)
+            harness.pick_target(LocalOracle(victim).query(x).logits, "easiest", y)
         if target == y:
             raise ConfigError("target label equals the true label")
         goal = AttackGoal("targeted", int(target))

@@ -5,9 +5,9 @@ attacks run unchanged over the network. connect() opens one keep-alive
 HTTP/1.1 connection with the standard library's http.client (which turns
 off Nagle's algorithm on it) and makes the /v1/meta handshake over it. The
 handle it returns, and every fresh() copy of it, send their predicts over
-that one connection; each copy keeps its own count and log. The client
-reads no proxy or netrc settings from the environment: it always talks to
-the victim directly.
+that one connection; each copy keeps its own count and log, and close()
+on any of them closes it. The client reads no proxy or netrc settings
+from the environment: it always talks to the victim directly.
 
 Before each request, an idle connection that the server has closed is
 reopened. A request whose body has gone out is never sent again, because
@@ -26,9 +26,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import (CapabilityError, ConfigError, EnsAttackError, ProtocolError,
-                     TransportError)
-from .oracle import Oracle
+from .errors import CapabilityError, EnsAttackError, ProtocolError, TransportError
+from .oracle import Oracle, read_shape
 
 # longest reply body read; a soft reply takes about 26 bytes per class
 MAX_REPLY_BYTES = 1 << 20
@@ -88,6 +87,10 @@ class RemoteOracle(Oracle):
         self._session = session  # the one connection every fresh() copy shares
         self._predict_path = f"{path_prefix}/v1/predict"
 
+    def close(self) -> None:
+        """Closes the connection this handle and its fresh() copies share."""
+        self._session.close()
+
     def _predict(self, image):
         image = np.ascontiguousarray(image, dtype="<f4")
         body = json.dumps({
@@ -120,8 +123,7 @@ class RemoteOracle(Oracle):
         return label, None
 
 
-def connect(url: str, require_mode: str | None = None, expect_classes: int | None = None,
-            timeout: float = 10.0) -> RemoteOracle:
+def connect(url: str, require_mode: str | None = None, timeout: float = 10.0) -> RemoteOracle:
     """Performs the /v1/meta handshake and returns a query-capable handle.
 
     ``url`` is http://host[:port] with an optional path prefix; ``timeout``
@@ -138,26 +140,28 @@ def connect(url: str, require_mode: str | None = None, expect_classes: int | Non
         raise TransportError(f"cannot use victim URL {url!r}: {exc}") from None
     meta = _round_trip(conn, "GET", f"{parts.path}/v1/meta", None)
     try:
-        num_classes, mode, input_shape = _check_meta(meta, require_mode, expect_classes)
+        num_classes, mode, input_shape = _check_meta(meta, require_mode)
     except EnsAttackError:
         conn.close()
         raise
     return RemoteOracle(url, num_classes, mode, input_shape, conn, parts.path)
 
 
-def _check_meta(meta, require_mode, expect_classes) -> tuple:
+def _check_meta(meta, require_mode) -> tuple:
     """(num_classes, mode, input_shape) from a /v1/meta payload, once the
-    server is one the caller can use."""
+    server is one the caller can use. The class count and the shape entries
+    must be JSON integers: at least 2 classes, and every entry at least 1."""
     try:
-        num_classes = int(meta["num_classes"])
+        num_classes = meta["num_classes"]
         mode = meta["mode"]
-        input_shape = tuple(int(v) for v in meta["input_shape"])
+        input_shape = read_shape(meta["input_shape"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed meta response: {exc}") from None
+    # bool is an int subclass, and a JSON 3.7 is no class count
+    if type(num_classes) is not int or num_classes < 2:
+        raise ProtocolError(f"malformed meta response: num_classes {num_classes!r}")
     if mode not in ("soft", "hard"):
         raise ProtocolError(f"unknown server mode {mode!r}")
     if require_mode is not None and mode != require_mode:
         raise CapabilityError(f"server mode is {mode!r} but {require_mode!r} is required")
-    if expect_classes is not None and num_classes != expect_classes:
-        raise ConfigError(f"server reports {num_classes} classes, expected {expect_classes}")
     return num_classes, mode, input_shape

@@ -12,14 +12,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import nn, zoo
 from . import pm as pm_mod
+from . import zoo
 from .client import connect
 from .errors import ConfigError
-from .losses import AttackGoal, LossKind, single_loss
-from .oracle import LocalOracle, is_success
+from .losses import AttackGoal, LossKind
+from .oracle import LocalOracle
 from .prng import stream
-from .search import SearchConfig, bases_attack, export_query_log_csv
+from .search import SearchConfig, bases_attack, export_query_log_csv, score_victim
 
 _GOAL_POLICIES = ("provided", "easiest", "hardest", "random")
 
@@ -240,53 +240,60 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
 
     # one victim handle per run: it screens the clean images (the skip rule
     # and confidence-based target policies), and each attack gets a fresh()
-    # copy over the same connection so q_used counts that image's queries only
+    # copy over the same connection so q_used counts that image's queries only;
+    # the handle is closed when the run ends, by an error too
     victim = (LocalOracle(victim_model, "soft") if victim_model is not None
               else connect(cfg.victim["url"], require_mode="soft"))
-    wrong = [sid for sid, m in zip(cfg.surrogate_ids, surrogates)
-             if m.num_classes != victim.num_classes]
-    if wrong:
-        raise ConfigError(f"surrogates {wrong} do not have the victim's "
-                          f"{victim.num_classes} classes")
-    if provided is not None and provided >= victim.num_classes:
-        raise ConfigError(f"goal_policy.label {provided} is out of range for "
-                          f"{victim.num_classes} classes")
+    try:
+        wrong = [sid for sid, m in zip(cfg.surrogate_ids, surrogates)
+                 if m.num_classes != victim.num_classes]
+        if wrong:
+            raise ConfigError(f"surrogates {wrong} do not have the victim's "
+                              f"{victim.num_classes} classes")
+        if provided is not None and provided >= victim.num_classes:
+            raise ConfigError(f"goal_policy.label {provided} is out of range for "
+                              f"{victim.num_classes} classes")
+        if victim.input_shape != image_shape:
+            raise ConfigError(f"the victim takes {victim.input_shape} images, not the "
+                              f"dataset's {image_shape} images")
 
-    test = dataset.test_split()
-    limit = len(test) if cfg.max_images is None else min(cfg.max_images, len(test))
+        test = dataset.test_split()
+        limit = len(test) if cfg.max_images is None else min(cfg.max_images, len(test))
 
-    os.makedirs(os.path.join(cfg.output_dir, "query_logs"), exist_ok=True)
-    records = []
-    skipped = 0
-    for i in range(limit):
-        img = test.images[i]
-        y = int(test.labels[i])
-        z_clean = victim.query(img).logits
-        if int(np.argmax(z_clean)) != y:
-            skipped += 1
-            continue
-        if goal_mode == "untargeted":
-            goal = AttackGoal("untargeted", y)
-        else:
-            target = pick_target(z_clean, policy, y,
-                                 rng=stream(cfg.seed, f"image/{i}/target"),
-                                 provided=provided)
-            if target == y:
+        os.makedirs(os.path.join(cfg.output_dir, "query_logs"), exist_ok=True)
+        records = []
+        skipped = 0
+        for i in range(limit):
+            img = test.images[i]
+            y = int(test.labels[i])
+            clean = victim.query(img)
+            if clean.label != y:
                 skipped += 1
                 continue
-            goal = AttackGoal("targeted", target)
+            if goal_mode == "untargeted":
+                goal = AttackGoal("untargeted", y)
+            else:
+                target = pick_target(clean.logits, policy, y,
+                                     rng=stream(cfg.seed, f"image/{i}/target"),
+                                     provided=provided)
+                if target == y:
+                    skipped += 1
+                    continue
+                goal = AttackGoal("targeted", target)
 
-        per_image = replace(search_cfg, order_seed=_derive_seed(cfg.seed, f"image/{i}/order"))
-        outcome = bases_attack(img, goal, victim.fresh(), surrogates, per_image)
-        export_query_log_csv(outcome, os.path.join(cfg.output_dir, "query_logs",
-                                                   f"image_{i:04d}.csv"))
-        records.append({
-            "index": i,
-            "label": y,
-            "target": goal.label if goal_mode == "targeted" else None,
-            "success": outcome.success,
-            "q_used": outcome.q_used,
-        })
+            per_image = replace(search_cfg, order_seed=_derive_seed(cfg.seed, f"image/{i}/order"))
+            outcome = bases_attack(img, goal, victim.fresh(), surrogates, per_image)
+            export_query_log_csv(outcome, os.path.join(cfg.output_dir, "query_logs",
+                                                       f"image_{i:04d}.csv"))
+            records.append({
+                "index": i,
+                "label": y,
+                "target": goal.label if goal_mode == "targeted" else None,
+                "success": outcome.success,
+                "q_used": outcome.q_used,
+            })
+    finally:
+        victim.close()
     if not records:
         raise ConfigError("no image passed the clean-classification screen")
 
@@ -327,21 +334,21 @@ def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: in
 
     Enumerates all (i, j, k) with i+j+k = resolution, runs the PM from
     delta = 0 at w = (i, j, k)/resolution, and records the victim loss and
-    the argmax success flag. Returns rows (i, j, k, loss, success)."""
+    success an in-process oracle of ``victim_model`` scores. Returns rows
+    (i, j, k, loss, success)."""
     if len(surrogates) != 3:
         raise ValueError("triangle sweep needs exactly 3 surrogates")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     x = np.asarray(x, dtype=np.float32)
+    victim = LocalOracle(victim_model)
     rows = []
     for i in range(resolution, -1, -1):
         for j in range(resolution - i, -1, -1):
             k = resolution - i - j
             w = np.array([i, j, k], dtype=np.float64) / resolution
             _, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), pm_cfg)
-            z = nn.forward(victim_model, x_star)
-            loss = single_loss(z, goal, pm_cfg.loss)[0]
-            rows.append((i, j, k, loss, is_success(int(np.argmax(z)), goal)))
+            rows.append((i, j, k, *score_victim(victim, x_star, goal, pm_cfg.loss)))
     return rows
 
 

@@ -50,6 +50,15 @@ def is_success(label: int, goal: AttackGoal) -> bool:
     return label != goal.label
 
 
+def read_shape(value) -> tuple:
+    """An image shape read from JSON: ValueError unless it is a nonempty
+    list of JSON integers, each at least 1 (a bool or a float is none)."""
+    if not isinstance(value, list) or not value or \
+            not all(type(v) is int and v >= 1 for v in value):
+        raise ValueError(f"shape {value!r} is not a list of integers >= 1")
+    return tuple(value)
+
+
 def check_image(image: np.ndarray) -> np.ndarray:
     """The query image as float32; ValueError unless every pixel is a
     finite value in [0,1]."""
@@ -63,7 +72,8 @@ def check_image(image: np.ndarray) -> np.ndarray:
 class Oracle:
     """A victim answering queries in mode "soft" (logits) or "hard" (label
     only). Subclasses implement _predict(image) -> (label, logits or None)
-    and raise before answering when the query cannot be answered."""
+    and raise before answering when the query cannot be answered; the two
+    transports also say which ``input_shape`` the victim takes."""
 
     def __init__(self, mode: str, num_classes: int):
         if mode not in ("soft", "hard"):
@@ -84,6 +94,10 @@ class Oracle:
         other.log = []
         return other
 
+    def close(self) -> None:
+        """Releases what the victim holds open: nothing, unless a subclass
+        says otherwise."""
+
     def query(self, image: np.ndarray, goal: AttackGoal | None = None) -> OracleResponse:
         start = time.perf_counter()
         label, logits = self._predict(image)
@@ -103,6 +117,7 @@ class LocalOracle(Oracle):
     def __init__(self, model: nn.Model, mode: str = "soft"):
         super().__init__(mode, model.num_classes)
         self.model = model
+        self.input_shape = model.input_shape
 
     def _predict(self, image):
         z = nn.forward(self.model, check_image(image))

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
 from . import pm as pm_mod
 from .losses import AttackGoal, LossKind, check_number, single_loss
-from .oracle import is_success, require_soft
+from .oracle import LocalOracle, is_success, require_soft
 from .prng import stream
 
 
@@ -115,22 +114,24 @@ def _coordinate_schedule(order: str, n: int, seed: int):
         k += 1
 
 
-def _victim_loss(resp, goal: AttackGoal, loss: LossKind) -> float:
-    if resp.logits is None:
-        return float("nan")
-    return single_loss(resp.logits, goal, loss)[0]
+def score_victim(oracle, x_star, goal: AttackGoal, loss: LossKind) -> tuple:
+    """(victim loss, success) of one query of ``x_star``: every pathway
+    scores its PM outputs here. The loss is NaN for a hard-label reply."""
+    resp = oracle.query(x_star, goal)
+    value = float("nan") if resp.logits is None else single_loss(resp.logits, goal, loss)[0]
+    return value, is_success(resp.label, goal)
 
 
-def _coordinate_search(x, goal: AttackGoal, surrogates, cfg: SearchConfig, budget: int,
-                       evaluate):
+def _coordinate_search(x, goal: AttackGoal, surrogates, cfg: SearchConfig, evaluate):
     """The coordinate search both query pathways run.
 
     ``evaluate(delta, x_star, coordinate, tag) -> (loss, stop)`` scores each
-    PM output, at most ``budget`` times, the equal-weights start first. Each
-    outer iteration scores the plus candidate and, while the budget lasts,
-    the minus candidate, then accepts the lowest loss among the candidates
-    of ``cfg.select_rule``; a candidate that returns stop is accepted at
-    once and ends the search. Returns (trajectory, stopped, delta, w).
+    PM output, at most ``cfg.max_queries`` times, the equal-weights start
+    first. Each outer iteration scores the plus candidate and, while the
+    budget lasts, the minus candidate, then accepts the lowest loss among
+    the candidates of ``cfg.select_rule``; a candidate that returns stop is
+    accepted at once and ends the search. Returns (trajectory, stopped,
+    delta, w).
     """
     n = len(surrogates)
     eta = cfg.resolved_eta(n)
@@ -143,13 +144,13 @@ def _coordinate_search(x, goal: AttackGoal, surrogates, cfg: SearchConfig, budge
 
     schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
     iteration = 0
-    while not stop and used < budget:
+    while not stop and used < cfg.max_queries:
         iteration += 1
         coord = next(schedule)
         warm = delta.copy()
         candidates = [("incumbent", w, delta, loss)] if cfg.select_rule == "monotone_three_way" else []
         for tag, w_cand in zip(("plus", "minus"), coordinate_pair(w, coord, eta)):
-            if used == budget:
+            if used == cfg.max_queries:
                 break
             d, xs = pm_mod.pm_run(x, goal, surrogates, w_cand, warm, cfg.pm)
             cand_loss, stop = evaluate(d, xs, coord, tag)
@@ -180,14 +181,11 @@ def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> 
     events = []
 
     def ask(delta, x_star, coordinate, tag):
-        resp = oracle.query(x_star, goal)
-        loss = _victim_loss(resp, goal, cfg.pm.loss)
-        ok = is_success(resp.label, goal)
+        loss, ok = score_victim(oracle, x_star, goal, cfg.pm.loss)
         events.append(QueryEvent(len(events) + 1, coordinate, tag, loss, ok))
         return loss, ok
 
-    trajectory, success, delta, w = _coordinate_search(x, goal, surrogates, cfg,
-                                                       cfg.max_queries, ask)
+    trajectory, success, delta, w = _coordinate_search(x, goal, surrogates, cfg, ask)
     return AttackOutcome(success, delta, len(events), w, events, trajectory)
 
 
@@ -197,7 +195,9 @@ def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
     with step cfg.resolved_eta(N).
 
     Each probe evaluates L_v at the PM output for the renormalized candidate
-    weight vector, warm-started from the same delta_init (2N PM runs)."""
+    weight vector, warm-started from the same delta_init (2N PM runs), as
+    an in-process oracle of ``victim_model`` scores it."""
+    victim = LocalOracle(victim_model)
     n = len(surrogates)
     h = cfg.resolved_eta(n)
     grad = np.zeros(n)
@@ -206,35 +206,31 @@ def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
         vals = []
         for cand in (w_plus, w_minus):
             _, x_star = pm_mod.pm_run(x, goal, surrogates, cand, delta_init, cfg.pm)
-            vals.append(single_loss(nn.forward(victim_model, x_star), goal, cfg.pm.loss)[0])
+            vals.append(score_victim(victim, x_star, goal, cfg.pm.loss)[0])
         grad[i] = (vals[0] - vals[1]) / (2.0 * h)
     return grad
 
 
 def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
-                           cfg: SearchConfig, iterations: int | None = None) -> AttackOutcome:
+                           cfg: SearchConfig) -> AttackOutcome:
     """Whitebox reference: full weight-gradient steps instead of queries.
 
     Per iteration the victim-loss gradient w.r.t. w is estimated by central
     differences over all N coordinates, then w moves one eta along the
     normalized gradient direction (sup-norm scaling keeps the move size
     comparable to the blackbox coordinate step). No victim queries are
-    counted; iterations defaults to the blackbox outer-iteration count
-    (max_queries - 1) // 2 so success-vs-iteration curves line up.
+    counted; it runs the blackbox outer-iteration count (max_queries - 1) // 2,
+    so success-vs-iteration curves line up.
     """
     x = np.asarray(x, dtype=np.float32)
     n = len(surrogates)
     eta = cfg.resolved_eta(n)
-    if iterations is None:
-        iterations = (cfg.max_queries - 1) // 2
-
+    victim = LocalOracle(victim_model)
     trajectory = []
 
     def evaluate(wv, warm, iteration, accepted):
         d, x_star = pm_mod.pm_run(x, goal, surrogates, wv, warm, cfg.pm)
-        z = nn.forward(victim_model, x_star)
-        loss = single_loss(z, goal, cfg.pm.loss)[0]
-        ok = is_success(int(np.argmax(z)), goal)
+        loss, ok = score_victim(victim, x_star, goal, cfg.pm.loss)
         trajectory.append(IterationRecord(iteration, -1, accepted, wv.copy(), loss, ok,
                                           d.copy(), np.asarray(warm, dtype=np.float32).copy()))
         return d, loss, ok
@@ -244,7 +240,7 @@ def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
     if ok:
         return AttackOutcome(True, delta, 0, w, [], trajectory)
 
-    for it in range(1, iterations + 1):
+    for it in range(1, (cfg.max_queries - 1) // 2 + 1):
         g = estimate_weight_gradient(x, goal, victim_model, surrogates, w, delta, cfg)
         scale = float(np.abs(g).max())
         if scale > 0.0:
@@ -256,20 +252,20 @@ def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
 
 
 def hardlabel_queryset(x, goal: AttackGoal, surrogate_victim, surrogates,
-                       cfg: SearchConfig, q_total: int | None = None) -> list:
-    """The score-based loop run against a whitebox stand-in victim, without
-    termination, recording delta at every stand-in evaluation. The first
-    entry is the equal-weights PM output; the list has exactly q_total
-    entries (default cfg.max_queries)."""
+                       cfg: SearchConfig) -> list:
+    """The score-based loop run against an in-process oracle of a whitebox
+    stand-in victim, without termination, recording delta at every
+    stand-in query. The first entry is the equal-weights PM output; the
+    list has exactly cfg.max_queries entries."""
     x = np.asarray(x, dtype=np.float32)
+    stand_in = LocalOracle(surrogate_victim)
     deltas = []
 
-    def stand_in(delta, x_star, coordinate, tag):
+    def evaluate(delta, x_star, coordinate, tag):
         deltas.append(delta.copy())
-        return single_loss(nn.forward(surrogate_victim, x_star), goal, cfg.pm.loss)[0], False
+        return score_victim(stand_in, x_star, goal, cfg.pm.loss)[0], False
 
-    _coordinate_search(x, goal, surrogates, cfg,
-                       q_total if q_total is not None else cfg.max_queries, stand_in)
+    _coordinate_search(x, goal, surrogates, cfg, evaluate)
     return deltas
 
 
@@ -279,9 +275,8 @@ def hardlabel_attack(x, goal: AttackGoal, queryset, hard_oracle) -> AttackOutcom
     x = np.asarray(x, dtype=np.float32)
     events = []
     for k, delta in enumerate(queryset, start=1):
-        resp = hard_oracle.query(x + delta, goal)
-        ok = is_success(resp.label, goal)
-        events.append(QueryEvent(k, -1, "queryset", _victim_loss(resp, goal, LossKind()), ok))
+        loss, ok = score_victim(hard_oracle, x + delta, goal, LossKind())
+        events.append(QueryEvent(k, -1, "queryset", loss, ok))
         if ok:
             return AttackOutcome(True, delta, k, None, events, [])
     last = queryset[-1] if queryset else np.zeros_like(x)

@@ -9,11 +9,14 @@ GET /v1/metrics
          "handle_ms": {"p50": ms, "p90": ms, "p99": ms, "n": n}}
     replies sent so far by status; predict queries charged per client; and
     handler time quantiles over the last HANDLE_WINDOW replies (null before
-    the first). Only answered requests are counted.
+    the first). Only answered requests are counted; a request line or
+    header block the server cannot read is answered too, in JSON, and the
+    connection closes.
 POST /v1/predict
     request  {"shape": [c, h, w], "pixels": "<base64 little-endian float32>"}
     200 soft {"logits": [...]}  |  200 hard {"label": k}
-    400 {"error": "..."} on malformed input, NaN or infinite pixels included,
+    400 {"error": "..."} on malformed input, NaN or infinite pixels and a
+    shape entry that is not a JSON integer >= 1 included,
     413 when Content-Length exceeds what the model's input shape can need,
     429 {"error": "budget_exhausted"} once a client exceeds the per-client
     query budget. Replies that leave the body unread close the connection.
@@ -37,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import nn
-from .oracle import check_image
+from .oracle import check_image, read_shape
 
 # seconds a request's body may take to arrive once its headers are in; idle
 # keep-alive connections between requests are not bounded
@@ -96,6 +99,14 @@ class _Handler(BaseHTTPRequestHandler):
         # next request on this connection, so the reply closes it
         self.close_connection = True
         self._send(status, payload)
+
+    def send_error(self, code, message=None, explain=None):
+        # the standard library's own refusals of a request line or header
+        # block it cannot read: sent as every other reply is, counted, in
+        # JSON, and with a status line even after a line with no HTTP version
+        self.request_version = self.protocol_version
+        self._started = time.perf_counter()
+        self._refuse(int(code), {"error": message or self.responses[code][0]})
 
     def _read_body(self, length: int) -> bytes | None:
         """The request body, or None, with the connection marked for closing,
@@ -180,9 +191,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = json.loads(raw.decode("utf-8"))
-            shape = tuple(int(v) for v in body["shape"])
+            shape = read_shape(body["shape"])
             pixels = np.frombuffer(base64.b64decode(body["pixels"]), dtype="<f4")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            # RecursionError: JSON nested too deep
             self._send(400, {"error": f"malformed request: {exc}"})
             return
         model = self.server.model

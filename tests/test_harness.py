@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import harness, nn, pm, server, zoo
+from ensattack import client, harness, nn, pm, server, zoo
 from ensattack.errors import ConfigError
 from ensattack.prng import stream
 
@@ -358,6 +358,50 @@ def test_run_experiment_refuses_surrogates_that_do_not_fit_the_run(zoo_dir, zoo_
                 assert handle.request_count == requests
         assert misfit in str(err.value) and "cnn-a" not in str(err.value)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("victim", ["local", "served"])
+def test_run_experiment_refuses_a_victim_that_does_not_take_the_images(zoo_dir, tmp_path,
+                                                                        victim):
+    # checked before the first image, like the surrogates: a victim for
+    # 10x10 images would otherwise fail its first screening query
+    manifest = _misfit_manifest(zoo_dir, tmp_path)
+    out = str(tmp_path / "out")
+    match = r"victim takes \(1, 10, 10\) images, not the dataset's \(1, 12, 12\)"
+    if victim == "local":
+        with pytest.raises(ConfigError, match=match):
+            harness.run_experiment(_experiment_cfg(zoo_dir, out, zoo_manifest=manifest,
+                                                   victim={"model_id": "ten-pixel"}))
+    else:
+        model = zoo.load_model(str(tmp_path / "ten-pixel.bem"))
+        with server.serve(model, mode="soft") as handle:
+            with pytest.raises(ConfigError, match=match):
+                harness.run_experiment(_experiment_cfg(zoo_dir, out,
+                                                       victim={"url": handle.url}))
+            assert handle.request_count == 1  # the handshake only
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_experiment_closes_the_victim_connection(zoo_dir, zoo_bundle, tmp_path,
+                                                     monkeypatch, fails):
+    # the run's one victim handle is closed when the run ends, by an error too
+    handles = []
+
+    def connect(*args, **kwargs):
+        handles.append(client.connect(*args, **kwargs))
+        return handles[-1]
+    monkeypatch.setattr(harness, "connect", connect)
+    over = {"goal_policy": {"mode": "targeted", "policy": "provided", "label": 8}} if fails else {}
+    with server.serve(zoo_bundle[2]["victim-mlp"], mode="soft") as handle:
+        cfg = _experiment_cfg(zoo_dir, str(tmp_path / "out"), victim={"url": handle.url},
+                              max_images=2, **over)
+        if fails:
+            with pytest.raises(ConfigError):
+                harness.run_experiment(cfg)
+        else:
+            harness.run_experiment(cfg)
+    assert len(handles) == 1 and handles[0]._session.sock is None
 
 
 def test_run_experiment_unknown_ids(zoo_dir, tmp_path):

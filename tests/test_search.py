@@ -252,7 +252,7 @@ def test_whitebox_iterations_override_and_simplex():
     surrogates = [util.tiny_model(91 + j, j) for j in range(3)]
     out = search.whitebox_weight_attack(util.rand_image(91), util.targeted(0),
                                         util.const_model(hot=1), surrogates,
-                                        _cfg(), iterations=4)
+                                        _cfg(max_queries=9))
     assert len(out.trajectory) == 5
     assert out.trajectory[0].accepted == "init"
     for rec in out.trajectory[1:]:
@@ -316,7 +316,7 @@ def test_hardlabel_queryset_structure():
         assert pm.is_feasible(d, x, cfg.pm.budget)
     again = search.hardlabel_queryset(x, goal, stand_in, surrogates, cfg)
     assert all(np.array_equal(a, b) for a, b in zip(qs, again))
-    assert len(search.hardlabel_queryset(x, goal, stand_in, surrogates, cfg, q_total=4)) == 4
+    assert len(search.hardlabel_queryset(x, goal, stand_in, surrogates, _cfg(max_queries=4))) == 4
 
 
 @pytest.mark.parametrize("order", ["cyclic", "random"])

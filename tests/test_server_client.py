@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+import re
 import socket
 import statistics
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import util
 from ensattack import client, nn, oracle, server
-from ensattack.errors import CapabilityError, ConfigError, ProtocolError, TransportError
+from ensattack.errors import CapabilityError, ProtocolError, TransportError
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,8 @@ def test_server_rejects_bad_requests(soft_pair):
     assert post({**ok, "shape": [2, 6, 6]}).status_code == 400  # wrong shape
     short = dict(ok, pixels=base64.b64encode(b"\x00" * 8).decode("ascii"))
     assert post(short).status_code == 400  # pixel count mismatch
+    for entry in (1.9, True, 1.0):  # the right shape, but an entry is no JSON integer
+        assert post({**ok, "shape": [entry, 6, 6]}).status_code == 400, entry
     hot = util.rand_image(45)
     hot.flat[0] = 1.5
     assert post(_predict_body(hot)).status_code == 400  # out of range
@@ -325,8 +328,6 @@ def test_capability_and_config_checks():
         client.connect(handle.url, require_mode="hard")
         with pytest.raises(CapabilityError):
             client.connect(handle.url, require_mode="soft")
-        with pytest.raises(ConfigError):
-            client.connect(handle.url, expect_classes=model.num_classes + 1)
 
 
 class _RogueHandler(BaseHTTPRequestHandler):
@@ -476,6 +477,18 @@ class _RawRogue(ThreadingHTTPServer):
         self.server_close()
 
 
+@pytest.mark.parametrize("meta", [{"num_classes": 3.7}, {"num_classes": True},
+                                  {"num_classes": -4}, {"input_shape": [0, -1]},
+                                  {"input_shape": [1.5, 12, 12]}, {"input_shape": "166"}])
+def test_meta_counts_must_be_json_integers(meta):
+    # a class count of at least 2 and shape entries of at least 1, each a
+    # JSON integer: int() would read 3.7 as 3 and true as 1
+    meta = {"num_classes": 4, "mode": "soft", "input_shape": [1, 6, 6], **meta}
+    with _RawRogue(meta=json.dumps(meta).encode()) as rogue:
+        with pytest.raises(ProtocolError, match="malformed meta"):
+            client.connect(rogue.url)
+
+
 def test_client_reopens_a_connection_the_server_closed():
     # each reply comes under HTTP/1.1 with no "Connection: close", and then
     # the server hangs up; a client that reused the dead connection would
@@ -586,5 +599,111 @@ def test_client_survives_rogue_predict_replies():
             else:
                 assert orc.count == 1
                 assert resp.logits.shape == (4,) and np.isfinite(resp.logits).all()
+
+        check()
+
+
+_FUZZ_SHAPE = (3, 32, 32)
+_HEADER_NAMES = ["Content-Type", "Connection", "Expect", "Transfer-Encoding", "Host",
+                 "X-Forwarded-For"]
+_LENGTHS = ["-1", "abc", "", "1e3", "0x10", "+12", " 12", "12 ", "1 2", str(10**30), "\xb2"]
+_header_text = st.text(st.characters(min_codepoint=32, max_codepoint=255,
+                                     exclude_characters="\x7f"), max_size=24)
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    _json_containers, max_leaves=12)
+
+
+@st.composite
+def _predict_requests(draw):
+    """Raw bytes of a POST /v1/predict the server must refuse or drop:
+    random headers, a random Content-Length or none, and a body that is
+    never a valid request (its pixels, if any, are too few to fill the
+    shape). The Content-Length is the body's length half of the time."""
+    shape = st.lists(st.integers(-2, 7) | st.floats(0, 13) | st.booleans(), max_size=4)
+    body = draw(st.one_of(
+        st.binary(max_size=300),
+        _json_values.map(lambda v: json.dumps(v).encode()),
+        st.fixed_dictionaries({"shape": shape | _json_values,
+                               "pixels": st.text(max_size=100) | _json_values})
+        .map(lambda v: json.dumps(v).encode()),
+        # nested deeper than the recursion limit (hypothesis raises it while
+        # it runs), within the body bound
+        st.integers(1000, server._max_body(_FUZZ_SHAPE) - 16).map(lambda n: b"[" * n),
+        st.just(b'{"shape": [1e400, 32, 32], "pixels": ""}')))
+    length = draw(st.sampled_from([str(len(body))] * 3 + [None, "other", "number"]))
+    if length == "other":
+        length = draw(st.sampled_from(_LENGTHS))
+    elif length == "number":
+        length = str(draw(st.integers(0, len(body) + 64)))
+    headers = [(name, draw(_header_text))
+               for name in draw(st.lists(st.sampled_from(_HEADER_NAMES)
+                                         | st.from_regex(r"\A[A-Za-z-]{1,12}\Z"), max_size=6))]
+    if length is not None:
+        headers.insert(draw(st.integers(0, len(headers))), ("Content-Length", length))
+    head = "".join(f"{name}: {value}\r\n" for name, value in headers)
+    return f"POST /v1/predict HTTP/1.1\r\n{head}\r\n".encode("latin-1") + body
+
+
+def _final_statuses(raw):
+    """Status codes of the whole final (not 1xx) replies at the start of
+    ``raw``, in order, and the bytes after the last of them."""
+    statuses = []
+    while True:
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        status = re.fullmatch(r"HTTP/1\.[01] (\d{3}) .*", lines[0])
+        if not sep or status is None:
+            return statuses, raw
+        length = next((int(line.split(":", 1)[1]) for line in lines[1:]
+                       if line.lower().startswith("content-length:")), 0)
+        if len(rest) < length:
+            return statuses, raw
+        raw = rest[length:]
+        if int(status[1]) >= 200:
+            statuses.append(int(status[1]))
+
+
+def test_server_survives_random_predict_requests(capsys):
+    # each request gets a 4xx or a dropped connection, never a 5xx or a
+    # traceback, and /v1/metrics counts every reply
+    with server.serve(util.const_model(_FUZZ_SHAPE), mode="soft") as handle:
+        host, port = handle.url.rsplit("/", 1)[-1].split(":")
+
+        def replies_counted():
+            return sum(requests.get(f"{handle.url}/v1/metrics",
+                                    timeout=5).json()["requests"].values())
+
+        @given(_predict_requests())
+        @settings(max_examples=300, deadline=None)
+        def check(request):
+            before = replies_counted()
+            raw, reset = b"", False
+            with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+                try:
+                    sock.sendall(request)
+                    sock.shutdown(socket.SHUT_WR)
+                    while chunk := sock.recv(65536):
+                        raw += chunk
+                except TimeoutError:
+                    raise
+                except OSError:
+                    # a refusal closes the connection with the rest of the
+                    # body unread, which resets it: the reply may be lost
+                    reset = True
+            statuses, rest = _final_statuses(raw)
+            assert all(400 <= s < 500 for s in statuses), statuses
+            counted = replies_counted() - before - 1  # the metrics reply counts itself
+            if reset:
+                assert counted >= len(statuses)
+            else:
+                assert rest == b"" and counted == len(statuses), (rest, counted, statuses)
+            assert capsys.readouterr().err == ""
 
         check()
