@@ -240,8 +240,10 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
 
     # one victim handle per run: it screens the clean images (the skip rule
     # and confidence-based target policies), and each attack gets a fresh()
-    # copy over the same connection so q_used counts that image's queries only;
-    # the handle is closed when the run ends, by an error too
+    # copy over the same connection, so the victim's count and log (and so a
+    # TransportError's partial_log) hold that image's queries only; q_used is
+    # the attack's own event count; the handle is closed when the run ends,
+    # by an error too
     victim = (LocalOracle(victim_model, "soft") if victim_model is not None
               else connect(cfg.victim["url"], require_mode="soft"))
     try:

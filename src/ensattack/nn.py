@@ -1,20 +1,18 @@
-"""Minimal dense-tensor forward evaluation and input-gradient engine.
+"""Minimal dense-tensor forward evaluation and reverse-mode engine.
 
 Supports the layer family {dense, conv2d (valid padding), relu, flatten},
-float32 throughout. Reverse mode is exposed publicly only for gradients
-w.r.t. the input; parameter gradients exist for the trainer in the zoo
-module and are deliberately not part of the public surface.
-
-The public entry points (``forward``, ``input_gradient``) take one sample,
-and reject anything else. The private ``_forward_saved`` and ``backward``
-also take a batch of samples along a leading axis, chosen by ``x.ndim``:
-the trainer and ``zoo.accuracy`` run one pass per minibatch or split, and
-every item's result is bitwise the one its own single-sample pass gives.
-Dense layers multiply with ``np.matmul(w, a[:, :, None])``, which is the
-per-sample ``w @ a`` bit for bit (``a @ w.T`` is not); conv layers call the
-single-sample kernels once per item. The PM keeps the single-sample path:
-it has one image per step, and at B = 1 the batched form cost 317-335 us
-for six surrogates' forward and backward, against 250 us single-sample.
+float32 throughout. The public ``forward`` takes one sample and rejects
+anything else. The private ``_forward_saved`` and ``backward`` also take
+a batch of samples along a leading axis, chosen by ``x.ndim``. The PM's
+input gradient runs on one sample. The trainer in the zoo module and
+``zoo.accuracy`` run one pass per minibatch or split; parameter gradients,
+which only the trainer takes, exist only over a batch. Every item's result
+is bitwise the one its own single-sample pass gives. Dense layers multiply
+with ``np.matmul(w, a[:, :, None])``, which is the per-sample ``w @ a`` bit
+for bit (``a @ w.T`` is not); conv layers call the single-sample kernels
+once per item. The PM keeps the single-sample path: it has one image per
+step, and at B = 1 the batched form cost 317-335 us for six surrogates'
+forward and backward, against 250 us single-sample.
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -190,17 +188,12 @@ class Model:
         return Model(self.layers, new_params, self.input_shape, self.num_classes, self.model_id)
 
 
-def _check_input(model: Model, x: np.ndarray) -> np.ndarray:
+def _check_input(model: Model, x: np.ndarray, batch: bool = False) -> np.ndarray:
+    """``x`` as C-contiguous float32; ShapeError unless it is one sample or,
+    with ``batch``, samples along a leading axis."""
     x = np.asarray(x, dtype=np.float32)
-    if x.shape != model.input_shape:
+    if (x.shape[1:] if batch else x.shape) != model.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match model input {model.input_shape}")
-    return np.ascontiguousarray(x)
-
-
-def _check_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape[1:] != model.input_shape:
-        raise ShapeError(f"batch shape {x.shape} does not match model input {model.input_shape}")
     return np.ascontiguousarray(x)
 
 
@@ -259,16 +252,19 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
     """Reverse-mode pass over saved activations.
 
     Returns (dx, param_grads); param_grads is None unless requested, since
-    the trainer is the only caller that needs it. The trainer has no use
-    for dx either, so a pass that wants parameter gradients ends at the
-    lowest layer with parameters and returns None for dx. Over a batch, dx
-    has one row per item and the parameter gradients are summed over the
-    items in batch order from +0.0.
+    the trainer is the only caller that needs it. Parameter gradients are
+    taken only over a batch (ShapeError for one sample) and are summed over
+    its items in batch order from +0.0. The trainer has no use for dx, so a
+    pass that wants parameter gradients ends at the lowest layer with
+    parameters and returns None for dx. Over a batch, dx has one row per
+    item.
     """
     g = np.asarray(upstream, dtype=np.float32)
     if g.shape != acts[-1].shape:
         raise ShapeError(f"upstream shape {g.shape} does not match logits {acts[-1].shape}")
     batched = g.ndim > 1
+    if want_param_grads and not batched:
+        raise ShapeError("parameter gradients are taken over a batch, got one sample")
     param_grads = [()] * len(model.layers) if want_param_grads else None
     stop = next((i for i, p in enumerate(model.params) if p), 0) if want_param_grads else -1
     for i in range(len(model.layers) - 1, -1, -1):
@@ -276,10 +272,8 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
         a_in = acts[i]
         if isinstance(layer, Dense):
             w, _ = model.params[i]
-            if want_param_grads and batched:
+            if want_param_grads:
                 param_grads[i] = (_batch_sum(g[:, :, None] * a_in[:, None, :]), _batch_sum(g))
-            elif want_param_grads:
-                param_grads[i] = (np.outer(g, a_in), g.copy())
             if i == stop:
                 break
             g = np.matmul(w.T, g[:, :, None])[:, :, 0] if batched else w.T @ g
@@ -287,11 +281,9 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             w, _ = model.params[i]
             k, s = layer.kernel_size, layer.stride
             g = np.ascontiguousarray(g, dtype=np.float32)
-            if want_param_grads and batched:
+            if want_param_grads:
                 parts = [kernels.conv2d_grad_params(gi, ai, k, k, s) for gi, ai in zip(g, a_in)]
                 param_grads[i] = tuple(_batch_sum(np.stack(p)) for p in zip(*parts))
-            elif want_param_grads:
-                param_grads[i] = kernels.conv2d_grad_params(g, a_in, k, k, s)
             if i == stop:
                 break
             h, wd = a_in.shape[-2:]
@@ -306,10 +298,3 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             g = g.reshape(a_in.shape)
     return (None if want_param_grads else g), param_grads
 
-
-def input_gradient(model: Model, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of upstream . logits w.r.t. the input x."""
-    x = _check_input(model, x)
-    acts = _forward_saved(model, x)
-    dx, _ = backward(model, acts, upstream)
-    return dx

@@ -1,7 +1,9 @@
 """Blackbox victim oracles: one query interface over every transport.
 
 Oracle.query is the only place queries are counted and logged: every answered
-call adds one to ``count`` and appends exactly one QueryRecord to ``log``.
+call adds one to ``count`` and appends exactly one QueryRecord (index, image
+digest, label, goal success) to ``log``, and answers with an OracleResponse:
+the label, and the logits in soft mode.
 Subclasses only say how a label (and logits) are obtained: LocalOracle runs
 an in-process model, client.RemoteOracle posts to a server, so attack code
 never knows which transport it is talking to.
@@ -9,7 +11,6 @@ never knows which transport it is talking to.
 
 import copy
 import hashlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +22,16 @@ from .losses import AttackGoal
 
 @dataclass
 class OracleResponse:
-    kind: str  # "soft" or "hard"
     label: int  # argmax class (ties toward lowest index)
     logits: np.ndarray | None  # None for hard-label responses
-    latency: float  # seconds spent answering this query
 
 
 @dataclass
 class QueryRecord:
     index: int  # 1-based query number
     digest: str  # sha256 of the query image bytes (first 16 hex chars)
-    kind: str
     label: int
     success: bool | None  # goal-evaluated flag; None when no goal was given
-    wall_time: float
 
 
 def image_digest(image: np.ndarray) -> str:
@@ -99,16 +96,11 @@ class Oracle:
         says otherwise."""
 
     def query(self, image: np.ndarray, goal: AttackGoal | None = None) -> OracleResponse:
-        start = time.perf_counter()
         label, logits = self._predict(image)
-        latency = time.perf_counter() - start
-        resp = OracleResponse(self.mode, label, logits if self.mode == "soft" else None,
-                              latency)
         self.count += 1
-        self.log.append(QueryRecord(self.count, image_digest(image), self.mode, label,
-                                    None if goal is None else is_success(label, goal),
-                                    time.time()))
-        return resp
+        self.log.append(QueryRecord(self.count, image_digest(image), label,
+                                    None if goal is None else is_success(label, goal)))
+        return OracleResponse(label, logits if self.mode == "soft" else None)
 
 
 class LocalOracle(Oracle):

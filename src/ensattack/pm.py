@@ -83,10 +83,7 @@ def project(delta: np.ndarray, x: np.ndarray, budget: Budget) -> np.ndarray:
         out = np.clip(delta, -e, e)
     else:
         n = float(np.sqrt(np.sum(delta.astype(np.float64) ** 2)))
-        if n > eps * (1.0 + _L2_SLACK):
-            out = delta * np.float32(eps / n)
-        else:
-            out = delta.copy()
+        out = delta * np.float32(eps / n) if n > eps * (1.0 + _L2_SLACK) else delta
     return np.clip(out, -x, np.float32(1.0) - x)
 
 

@@ -19,7 +19,11 @@ POST /v1/predict
     shape entry that is not a JSON integer >= 1 included,
     413 when Content-Length exceeds what the model's input shape can need,
     429 {"error": "budget_exhausted"} once a client exceeds the per-client
-    query budget. Replies that leave the body unread close the connection.
+    query budget. Replies that leave the body unread close the connection
+    with a lingering close: the reply goes out, the write side is shut,
+    and what the client still sends is read and discarded until its EOF,
+    LINGER_BYTES or LINGER_S, so closing with bytes unread does not reset
+    the connection before the client reads the reply.
     A body that arrives short, or not within BODY_TIMEOUT_S, closes the
     connection with no reply. A predict uses one query of the client's
     budget only once its whole body has arrived.
@@ -33,6 +37,7 @@ import base64
 import collections
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,6 +50,11 @@ from .oracle import check_image, read_shape
 # seconds a request's body may take to arrive once its headers are in; idle
 # keep-alive connections between requests are not bounded
 BODY_TIMEOUT_S = 10.0
+
+# a refusal that leaves the body unread discards at most this many bytes,
+# for at most this many seconds, of what the client still sends
+LINGER_BYTES = 1 << 20
+LINGER_S = 2.0
 
 # handled requests whose handler times /v1/metrics summarises
 HANDLE_WINDOW = 1024
@@ -96,9 +106,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _refuse(self, status: int, payload: dict) -> None:
         # the refused request's body is never read and would be parsed as the
-        # next request on this connection, so the reply closes it
+        # next request on this connection, so the reply closes it; closing
+        # with bytes unread would reset the connection, and a client still
+        # sending could lose the reply, so the close lingers
         self.close_connection = True
         self._send(status, payload)
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + LINGER_S
+            left = LINGER_BYTES
+            while left > 0 and (wait := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(wait)
+                chunk = self.connection.recv(min(left, 65536))
+                if not chunk:  # the client's EOF
+                    break
+                left -= len(chunk)
+        except OSError:  # timed out, or reset by the client
+            pass
 
     def send_error(self, code, message=None, explain=None):
         # the standard library's own refusals of a request line or header

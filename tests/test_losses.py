@@ -215,10 +215,10 @@ def test_vertex_weight_equals_single_model_gradient(fusion):
     z = nn.forward(models[0], x)
     if fusion == "weighted_probabilities":
         # probability fusion of one member is that member's cross-entropy
-        g_single = nn.input_gradient(models[0], x, losses.single_loss(z, goal, CE)[1])
+        g_single = util.input_gradient(models[0], x, losses.single_loss(z, goal, CE)[1])
         assert np.allclose(g_vertex, g_single)
     else:
-        g_single = nn.input_gradient(models[0], x, losses.single_loss(z, goal, LossKind())[1])
+        g_single = util.input_gradient(models[0], x, losses.single_loss(z, goal, LossKind())[1])
         assert np.array_equal(g_vertex, g_single)
 
 

@@ -66,7 +66,7 @@ def test_input_gradient_linear_case():
     w = np.arange(6, dtype=np.float32).reshape(3, 2) / 7
     m = nn.Model([nn.Dense(2, 3)], [(w, np.zeros(3, np.float32))], (2,), 3)
     u = np.array([1.0, -2.0, 0.5], np.float32)
-    assert np.array_equal(nn.input_gradient(m, np.array([0.3, 0.4], np.float32), u), w.T @ u)
+    assert np.array_equal(util.input_gradient(m, np.array([0.3, 0.4], np.float32), u), w.T @ u)
 
 
 def test_relu_dead_unit_zero_gradient():
@@ -77,7 +77,7 @@ def test_relu_dead_unit_zero_gradient():
     w2 = np.array([[1.0, 0.0], [1.0, 0.0]], np.float32)  # reads only unit 0
     m = nn.Model([nn.Dense(1, 2), nn.Relu(), nn.Dense(2, 2)],
                  [(w1, b1), (), (w2, np.zeros(2, np.float32))], (1,), 2)
-    g = nn.input_gradient(m, np.array([0.5], np.float32), np.ones(2, np.float32))
+    g = util.input_gradient(m, np.array([0.5], np.float32), np.ones(2, np.float32))
     assert np.array_equal(g, [0.0])
 
 
@@ -85,7 +85,7 @@ def test_relu_subgradient_at_zero_is_zero():
     m = nn.Model([nn.Dense(1, 2), nn.Relu(), nn.Dense(2, 2)],
                  [(np.zeros((2, 1), np.float32), np.zeros(2, np.float32)), (),
                   (np.ones((2, 2), np.float32), np.zeros(2, np.float32))], (1,), 2)
-    g = nn.input_gradient(m, np.array([0.7], np.float32), np.ones(2, np.float32))
+    g = util.input_gradient(m, np.array([0.7], np.float32), np.ones(2, np.float32))
     assert np.array_equal(g, [0.0])
 
 
@@ -105,7 +105,7 @@ def test_input_gradient_matches_fd(arch):
     x = util.rand_image(40 + arch)
     u = util.rand_image(50 + arch, (util.TINY_CLASSES,), "upstream") - np.float32(0.5)
     u64 = u.astype(np.float64)
-    g = nn.input_gradient(m, x, u).astype(np.float64)
+    g = util.input_gradient(m, x, u).astype(np.float64)
     fd = util.fd_gradient(lambda v: float(u64 @ util.naive_forward(m, v)), x, 1e-3)
     rel = np.linalg.norm(g - fd.astype(np.float64)) / max(np.linalg.norm(g), 1e-12)
     assert rel < 1e-3
@@ -114,8 +114,8 @@ def test_input_gradient_matches_fd(arch):
 def test_param_gradients_match_fd():
     m = util.tiny_model(23, 2)
     x = util.rand_image(23)
-    u = np.ones(util.TINY_CLASSES, np.float32)
-    acts = nn._forward_saved(m, np.asarray(x, np.float32))
+    u = np.ones((1, util.TINY_CLASSES), np.float32)
+    acts = nn._forward_saved(m, x[None])
     _, grads = nn.backward(m, acts, u, want_param_grads=True)
 
     def loss_with(li, pi, idx, v):
@@ -147,12 +147,15 @@ def _bits(arrays):
 ], ids=["conv-first", "dense-first"])
 def test_trainer_pass_skips_the_input_gradient(layers, monkeypatch):
     # the pass that wants parameter gradients stops at the lowest layer with
-    # parameters; every gradient it keeps is the full pass's, bit for bit
+    # parameters; every gradient it keeps is the full pass's, bit for bit,
+    # summed over a batch of one from +0.0
     m = zoo.build_model(layers, util.TINY_SHAPE, util.TINY_CLASSES, 5)
     x = util.rand_image(5)
     u = util.rand_image(6, (util.TINY_CLASSES,), "upstream") - np.float32(0.5)
-    acts = nn._forward_saved(m, x)
-    ref_dx, ref_grads = util.ref_param_grads(m, acts, u)
+    ref_dx, ref_grads = util.ref_param_grads(m, nn._forward_saved(m, x), u)
+    ref_grads = [tuple(np.float32(0.0) + a for a in group) for group in ref_grads]
+    acts = nn._forward_saved(m, x[None])
+    u = u[None]
     calls = []
     real = kernels.conv2d_grad_input
     monkeypatch.setattr(kernels, "conv2d_grad_input", lambda *a: calls.append(a) or real(*a))
@@ -165,7 +168,7 @@ def test_trainer_pass_skips_the_input_gradient(layers, monkeypatch):
     del calls[:]
     dx, grads = nn.backward(m, acts, u)
     assert grads is None and len(calls) == n_conv
-    assert _bits([dx]) == _bits([ref_dx])
+    assert _bits(dx) == _bits([ref_dx])
 
 
 def test_trainer_step_makes_one_grad_input_call_fewer_per_sample(monkeypatch):
@@ -187,6 +190,19 @@ def test_backward_upstream_shape_error():
     acts = nn._forward_saved(m, util.rand_image(3))
     with pytest.raises(ShapeError):
         nn.backward(m, acts, np.zeros(util.TINY_CLASSES + 1, np.float32))
+
+
+@pytest.mark.parametrize("arch", [0, 2], ids=["dense", "conv"])
+def test_param_gradients_are_taken_over_a_batch_only(arch):
+    # the trainer, their one caller, asks for them per minibatch
+    m = util.tiny_model(3, arch)
+    x = util.rand_image(3)
+    u = np.ones(util.TINY_CLASSES, np.float32)
+    with pytest.raises(ShapeError):
+        nn.backward(m, nn._forward_saved(m, x), u, want_param_grads=True)
+    _, grads = nn.backward(m, nn._forward_saved(m, x[None]), u[None], want_param_grads=True)
+    assert [tuple(a.shape for a in g) for g in grads] == [nn.param_shapes(lay)
+                                                          for lay in m.layers]
 
 
 def test_layer_spec_composition_errors():

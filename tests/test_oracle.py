@@ -11,10 +11,8 @@ def test_soft_query_returns_forward_logits_bitwise():
     orc = oracle.LocalOracle(m, mode="soft")
     x = util.rand_image(20)
     resp = orc.query(x)
-    assert resp.kind == "soft"
     assert np.array_equal(resp.logits, nn.forward(m, x))
     assert resp.label == int(np.argmax(resp.logits))
-    assert resp.latency >= 0.0
 
 
 def test_hard_query_hides_logits():
@@ -22,7 +20,7 @@ def test_hard_query_hides_logits():
     orc = oracle.LocalOracle(m, mode="hard")
     x = util.rand_image(21)
     resp = orc.query(x)
-    assert resp.kind == "hard" and resp.logits is None
+    assert resp.logits is None
     assert resp.label == int(np.argmax(nn.forward(m, x)))
 
 
@@ -85,13 +83,13 @@ def test_image_digest_stability():
 
 def test_is_success_examples():
     z = np.array([1.0, 3.0, 2.0], np.float32)
-    resp = oracle.OracleResponse("soft", int(np.argmax(z)), z, 0.0)
+    resp = oracle.OracleResponse(int(np.argmax(z)), z)
     assert oracle.is_success(resp.label, util.targeted(1))
     assert not oracle.is_success(resp.label, util.targeted(2))
     assert oracle.is_success(resp.label, util.untargeted(0))
     assert not oracle.is_success(resp.label, util.untargeted(1))
     # argmax ties resolve before the predicate: [1,1] reports label 0
-    tie = oracle.OracleResponse("soft", 0, np.array([1.0, 1.0], np.float32), 0.0)
+    tie = oracle.OracleResponse(0, np.array([1.0, 1.0], np.float32))
     assert not oracle.is_success(tie.label, util.targeted(1))
 
 

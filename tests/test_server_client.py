@@ -95,7 +95,7 @@ def test_hard_server_returns_label_only():
         assert orc.mode == "hard"
         x = util.rand_image(43)
         resp = orc.query(x)
-        assert resp.kind == "hard" and resp.logits is None
+        assert resp.logits is None
         assert resp.label == oracle.LocalOracle(model, "hard").query(x).label
 
 
@@ -265,7 +265,11 @@ def test_keepalive_round_trip_has_no_ack_stall():
     # server socket each reply waited for the client's delayed ACK (>= 40 ms)
     with server.serve(util.tiny_model(55, 2), mode="soft") as handle:
         orc = client.connect(handle.url)
-        rtt = [orc.query(util.rand_image(600 + k)).latency for k in range(21)]
+        rtt = []
+        for k in range(21):
+            start = time.perf_counter()
+            orc.query(util.rand_image(600 + k))
+            rtt.append(time.perf_counter() - start)
     assert statistics.median(rtt) < 0.020, rtt
 
 
@@ -670,9 +674,26 @@ def _final_statuses(raw):
             statuses.append(int(status[1]))
 
 
+def test_refusal_reaches_a_client_still_sending(soft_pair):
+    # a refusal that leaves the body unread lingers before it closes: a
+    # close with 17,000 bytes unread would reset the connection, and the
+    # client, still sending, would lose the 400
+    _, handle = soft_pair
+    host, port = handle.url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii")
+                     + b"x" * 17_000)
+        time.sleep(0.05)
+        sock.shutdown(socket.SHUT_WR)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    assert _final_statuses(raw) == ([400], b"")
+
+
 def test_server_survives_random_predict_requests(capsys):
     # each request gets a 4xx or a dropped connection, never a 5xx or a
-    # traceback, and /v1/metrics counts every reply
+    # traceback, and /v1/metrics counts exactly the replies received
     with server.serve(util.const_model(_FUZZ_SHAPE), mode="soft") as handle:
         host, port = handle.url.rsplit("/", 1)[-1].split(":")
 
@@ -684,26 +705,16 @@ def test_server_survives_random_predict_requests(capsys):
         @settings(max_examples=300, deadline=None)
         def check(request):
             before = replies_counted()
-            raw, reset = b"", False
+            raw = b""
             with socket.create_connection((host, int(port)), timeout=5.0) as sock:
-                try:
-                    sock.sendall(request)
-                    sock.shutdown(socket.SHUT_WR)
-                    while chunk := sock.recv(65536):
-                        raw += chunk
-                except TimeoutError:
-                    raise
-                except OSError:
-                    # a refusal closes the connection with the rest of the
-                    # body unread, which resets it: the reply may be lost
-                    reset = True
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)
+                while chunk := sock.recv(65536):
+                    raw += chunk
             statuses, rest = _final_statuses(raw)
             assert all(400 <= s < 500 for s in statuses), statuses
             counted = replies_counted() - before - 1  # the metrics reply counts itself
-            if reset:
-                assert counted >= len(statuses)
-            else:
-                assert rest == b"" and counted == len(statuses), (rest, counted, statuses)
+            assert rest == b"" and counted == len(statuses), (rest, counted, statuses)
             assert capsys.readouterr().err == ""
 
         check()

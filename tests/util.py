@@ -11,8 +11,9 @@ strided-loop kernels the package once ran, kept verbatim so the im2col
 kernels can be checked against them bit for bit, and ref_param_grads is
 the full reverse pass built on them. per_sample_train and
 per_sample_accuracy are the same kind for the zoo: the trainer and
-accuracy loops that ran one sample at a time, so the batched ones can be
-checked against them bit for bit. ref_single_loss, ref_fuse and
+accuracy loops that ran one sample at a time (their parameter gradients
+from ref_param_grads), so the batched ones can be checked against them
+bit for bit. ref_single_loss, ref_fuse and
 ref_ensemble_input_gradient are the same kind for the PM step: the
 per-member loss loop and the gradient that back-propagated every member,
 so the stacked fusion and the skip of fooled members can be checked
@@ -28,6 +29,14 @@ from ensattack.losses import (_P_FLOOR, AttackGoal, LossKind, check_weights, cro
 from ensattack.oracle import Oracle
 from ensattack.prng import stream
 from ensattack.zoo import BATCH_SIZE, WEIGHT_DECAY
+
+
+def input_gradient(model, x, upstream):
+    """Gradient of upstream . logits w.r.t. one input x, by the engine's own
+    forward and reverse pass (the package's PM reaches them through
+    losses.ensemble_input_gradient)."""
+    acts = nn._forward_saved(model, nn._check_input(model, x))
+    return nn.backward(model, acts, upstream)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +143,7 @@ def per_sample_train(model, dataset, cfg, record=None):
                 goal = AttackGoal("targeted", int(dataset.labels[j]))
                 loss, g_logits = single_loss(acts[-1], goal, TRAIN_LOSS)
                 epoch_loss += loss
-                _, pgrads = nn.backward(work, acts, g_logits, want_param_grads=True)
+                _, pgrads = ref_param_grads(work, acts, g_logits)
                 for gi, pg in zip(grads, pgrads):
                     for acc, val in zip(gi, pg):
                         acc += val
@@ -318,7 +327,7 @@ def plain_pgd(model, x, goal, norm, eps, steps, lam, delta_init,
               kind="cw_margin", kappa=0.0):
     """Standalone single-model PGD: T steps of project(d - lam*sign(grad)).
 
-    Uses nn.input_gradient for the backward pass (criterion-checked against
+    Uses input_gradient for the backward pass (criterion-checked against
     finite differences separately) but owns its loss gradient, projection,
     stepping, and loop structure.
     """
@@ -328,7 +337,7 @@ def plain_pgd(model, x, goal, norm, eps, steps, lam, delta_init,
     for _ in range(steps):
         z = nn.forward(model, x + d)
         u = _pgd_loss_grad(z, goal, kind, kappa)
-        g = nn.input_gradient(model, x + d, u)
+        g = input_gradient(model, x + d, u)
         d = _pgd_project(d - lam * np.sign(g), x, norm, eps)
     return d
 
