@@ -1,6 +1,8 @@
 """Pure-NumPy convolution kernels.
 
-Valid padding, square kernels, single sample, channel-first layout.
+Valid padding, square kernels, channel-first layout. Each op has a
+single-sample form and a ``*_batch`` form that takes samples along a
+leading axis and equals the single-sample form item by item, bit for bit.
 All arrays are float32 and C-contiguous; callers guarantee both.
 
 Each kernel is the im2col lowering (Chellapilla et al., 2006) or its
@@ -29,6 +31,16 @@ kernels as wide as the input) tensordot's reshape of the window view is
 itself a strided view, not a copy, and with one output channel NumPy's
 matrix-vector product sums in an order that follows that layout; there
 the two agree to rounding only.
+
+The batch forms gather every item's matrix with one ``take`` along the
+item axis and multiply with one ``np.matmul``, which makes the same BLAS
+call per item that ``np.dot`` makes for one sample. The batched scatter
+runs one ``np.add.at`` through the index offset by each item's start, so
+every item's ``dx`` receives its terms in the single-sample order. The
+parameter gradient has one body: the single-sample form is the batch
+form at B = 1. The single-sample forward and input gradient keep their
+own bodies, since the PM runs them once per surrogate per step and the
+extra batch axis would cost it a few microseconds a call.
 
 The index arrays are read-only and shared across threads.
 """
@@ -65,6 +77,17 @@ def _rows_index(cin: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.n
     return idx
 
 
+@lru_cache(maxsize=_INDEX_CACHE)
+def _scatter_index(batch: int, cin: int, h: int, w: int, kh: int, kw: int,
+                   stride: int) -> np.ndarray:
+    """Flat offsets into ``batch`` inputs of shape (cin, h, w), items in
+    order: item i's raveled ``_cols_index`` shifted by i*cin*h*w."""
+    starts = np.arange(batch, dtype=np.intp).reshape(batch, 1) * (cin * h * w)
+    idx = (starts + _cols_index(cin, h, w, kh, kw, stride).reshape(1, -1)).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
     """y[co,p,q] = b[co] + sum_{ci,u,v} x[ci, p*s+u, q*s+v] * w[co,ci,u,v]"""
     cout, cin, kh, kw = w.shape
@@ -87,10 +110,40 @@ def conv2d_grad_input(dy: np.ndarray, w: np.ndarray, stride: int, in_h: int, in_
 
 
 def conv2d_grad_params(dy: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int):
-    """Gradients w.r.t. the kernel and bias, given upstream dy."""
-    cout = dy.shape[0]
-    cin, in_h, in_w = x.shape
-    rows = x.reshape(-1).take(_rows_index(cin, in_h, in_w, kh, kw, stride))
-    dw = np.dot(dy.reshape(cout, -1), rows).reshape(cout, cin, kh, kw)
-    db = dy.sum(axis=(1, 2))
-    return dw, np.ascontiguousarray(db, dtype=np.float32)
+    """Gradients w.r.t. the kernel and bias, given upstream dy: the batch
+    kernel at B = 1."""
+    dw, db = conv2d_grad_params_batch(dy[None], x[None], kh, kw, stride)
+    return dw[0], db[0]
+
+
+def conv2d_forward_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
+    """``conv2d_forward`` of each item of x, shape (B, cin, h, w)."""
+    cout, cin, kh, kw = w.shape
+    batch, _, in_h, in_w = x.shape
+    cols = x.reshape(batch, -1).take(_cols_index(cin, in_h, in_w, kh, kw, stride), axis=1)
+    y = np.matmul(w.reshape(cout, -1), cols)
+    y = y.reshape(batch, cout, (in_h - kh) // stride + 1, (in_w - kw) // stride + 1)
+    y += b[:, None, None]
+    return y
+
+
+def conv2d_grad_input_batch(dy: np.ndarray, w: np.ndarray, stride: int, in_h: int,
+                            in_w: int) -> np.ndarray:
+    """``conv2d_grad_input`` of each item of dy, shape (B, cout, oh, ow)."""
+    cout, cin, kh, kw = w.shape
+    batch = dy.shape[0]
+    t = np.matmul(w.reshape(cout, -1).T, dy.reshape(batch, cout, -1))
+    dx = np.zeros(batch * cin * in_h * in_w, dtype=np.float32)
+    np.add.at(dx, _scatter_index(batch, cin, in_h, in_w, kh, kw, stride), t.reshape(-1))
+    return dx.reshape(batch, cin, in_h, in_w)
+
+
+def conv2d_grad_params_batch(dy: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int):
+    """Per-item kernel and bias gradients, shapes (B, cout, cin, kh, kw) and
+    (B, cout), given upstream dy of shape (B, cout, oh, ow) and inputs x of
+    shape (B, cin, h, w). Summing over the batch is the caller's."""
+    batch, cout = dy.shape[:2]
+    _, cin, in_h, in_w = x.shape
+    rows = x.reshape(batch, -1).take(_rows_index(cin, in_h, in_w, kh, kw, stride), axis=1)
+    dw = np.matmul(dy.reshape(batch, cout, -1), rows).reshape(batch, cout, cin, kh, kw)
+    return dw, dy.sum(axis=(2, 3))

@@ -9,10 +9,11 @@ input gradient runs on one sample. The trainer in the zoo module and
 which only the trainer takes, exist only over a batch. Every item's result
 is bitwise the one its own single-sample pass gives. Dense layers multiply
 with ``np.matmul(w, a[:, :, None])``, which is the per-sample ``w @ a`` bit
-for bit (``a @ w.T`` is not); conv layers call the single-sample kernels
-once per item. The PM keeps the single-sample path: it has one image per
-step, and at B = 1 the batched form cost 317-335 us for six surrogates'
-forward and backward, against 250 us single-sample.
+for bit (``a @ w.T`` is not); conv layers make one call per layer of the
+kernels' ``*_batch`` forms. The PM keeps the single-sample path and its
+kernels: it has one image per step, and at B = 1 the batched form took
+262-298 us for six surrogates' forward and backward, against 215-237 us
+single-sample (seven alternating rounds on a 2-core host).
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -156,26 +157,13 @@ class Model:
             raise LayerSpecError(f"num_classes must be >= 2, got {num_classes}")
         self.layers = tuple(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.shapes = compose_shapes(self.layers, self.input_shape)
+        self.shapes = tuple(compose_shapes(self.layers, self.input_shape))
         if self.shapes[-1][0] != num_classes:
             raise LayerSpecError(
                 f"stack emits {self.shapes[-1][0]} logits but num_classes={num_classes}")
         self.num_classes = int(num_classes)
         self.model_id = model_id
-        if len(params) != len(self.layers):
-            raise LayerSpecError(f"{len(self.layers)} layers but {len(params)} parameter groups")
-        frozen = []
-        for layer, p in zip(self.layers, params):
-            # copy so freezing never aliases caller-owned arrays
-            group = tuple(np.array(a, dtype=np.float32, order="C") for a in p)
-            shapes, wanted = tuple(a.shape for a in group), param_shapes(layer)
-            if shapes != wanted:
-                raise LayerSpecError(f"{layer.kind} parameters have shapes {shapes}, "
-                                     f"expected {wanted}")
-            for a in group:
-                a.flags.writeable = False
-            frozen.append(group)
-        self.params = tuple(frozen)
+        self.params = _freeze_params(self.layers, params)
 
     def param_count(self) -> int:
         return sum(a.size for group in self.params for a in group)
@@ -185,7 +173,31 @@ class Model:
             yield from group
 
     def with_params(self, new_params) -> "Model":
-        return Model(self.layers, new_params, self.input_shape, self.num_classes, self.model_id)
+        """This model with other parameters. The layer stack and its shapes
+        were checked when this model was built and are immutable, so only
+        the parameters are checked, copied and frozen."""
+        model = object.__new__(Model)
+        model.__dict__.update(self.__dict__, params=_freeze_params(self.layers, new_params))
+        return model
+
+
+def _freeze_params(layers: tuple, params: Sequence[tuple]) -> tuple:
+    """Float32 C-contiguous read-only copies of ``params``, one group per
+    layer; LayerSpecError unless each group has ``param_shapes`` shapes."""
+    if len(params) != len(layers):
+        raise LayerSpecError(f"{len(layers)} layers but {len(params)} parameter groups")
+    frozen = []
+    for layer, p in zip(layers, params):
+        # copy so freezing never aliases caller-owned arrays
+        group = tuple(np.array(a, dtype=np.float32, order="C") for a in p)
+        shapes, wanted = tuple(a.shape for a in group), param_shapes(layer)
+        if shapes != wanted:
+            raise LayerSpecError(f"{layer.kind} parameters have shapes {shapes}, "
+                                 f"expected {wanted}")
+        for a in group:
+            a.flags.writeable = False
+        frozen.append(group)
+    return tuple(frozen)
 
 
 def _check_input(model: Model, x: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -221,10 +233,8 @@ def _forward_saved(model: Model, x: np.ndarray) -> list:
             a = (np.matmul(w, a[:, :, None])[:, :, 0] if batched else w @ a) + b
         elif isinstance(layer, Conv2d):
             w, b = p
-            if batched:
-                a = np.stack([kernels.conv2d_forward(ai, w, b, layer.stride) for ai in a])
-            else:
-                a = kernels.conv2d_forward(a, w, b, layer.stride)
+            conv = kernels.conv2d_forward_batch if batched else kernels.conv2d_forward
+            a = conv(a, w, b, layer.stride)
         elif isinstance(layer, Relu):
             a = np.maximum(a, np.float32(0.0))
         else:  # flatten
@@ -282,15 +292,12 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             k, s = layer.kernel_size, layer.stride
             g = np.ascontiguousarray(g, dtype=np.float32)
             if want_param_grads:
-                parts = [kernels.conv2d_grad_params(gi, ai, k, k, s) for gi, ai in zip(g, a_in)]
-                param_grads[i] = tuple(_batch_sum(np.stack(p)) for p in zip(*parts))
+                dw, db = kernels.conv2d_grad_params_batch(g, a_in, k, k, s)
+                param_grads[i] = (_batch_sum(dw), _batch_sum(db))
             if i == stop:
                 break
-            h, wd = a_in.shape[-2:]
-            if batched:
-                g = np.stack([kernels.conv2d_grad_input(gi, w, s, h, wd) for gi in g])
-            else:
-                g = kernels.conv2d_grad_input(g, w, s, h, wd)
+            grad_input = kernels.conv2d_grad_input_batch if batched else kernels.conv2d_grad_input
+            g = grad_input(g, w, s, *a_in.shape[-2:])
         elif isinstance(layer, Relu):
             # subgradient at exactly 0 is defined as 0
             g = g * (a_in > 0)

@@ -56,6 +56,7 @@ class PMConfig:
     def __post_init__(self):
         if type(self.steps) is not int or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        check_number("steps", self.steps)  # an int beyond the float range
         if self.step_size is not None:
             check_number("step_size", self.step_size)
         _check_float32("step size (3*eps/steps by default)", self.resolved_step())

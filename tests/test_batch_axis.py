@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import util
-from ensattack import nn, oracle, zoo
+from ensattack import kernels, nn, oracle, zoo
 from ensattack.errors import ShapeError
 from ensattack.losses import cross_entropy, single_loss
 from ensattack.prng import stream
@@ -121,6 +121,41 @@ def test_batched_accuracy_breaks_ties_toward_the_lowest_class():
                     [(), (np.zeros((4, 36), np.float32), np.zeros(4, np.float32))], (1, 6, 6), 4)
     # every logit ties, so every image is predicted class 0
     assert zoo.accuracy(flat, ds) == util.per_sample_accuracy(flat, ds) == 0.25
+
+
+CONV_KERNELS = ("conv2d_forward", "conv2d_grad_input", "conv2d_grad_params")
+
+
+def _count_kernel_calls(monkeypatch):
+    """Call counts of each single-sample kernel and its ``_batch`` form,
+    read through the returned function."""
+    names = CONV_KERNELS + tuple(f"{k}_batch" for k in CONV_KERNELS)
+    calls = {name: util.record_calls(monkeypatch, kernels, name) for name in names}
+    return lambda: {name: len(c) for name, c in calls.items()}
+
+
+def test_a_minibatch_makes_one_batched_kernel_call_per_conv_layer(monkeypatch):
+    # cnn-b has two conv layers; the trainer takes no input gradient at the
+    # lower one, and the one-sample PM path keeps the single-sample kernels
+    mid, layers = DEFAULT_ARCHS[1]
+    assert sum(isinstance(layer, nn.Conv2d) for layer in layers) == 2
+    ds = _dataset()
+    model = zoo.build_model(layers, (1, SIDE, SIDE), CLASSES, SEED, mid)
+    view = zoo.model_view(ds.train_split(), mid, SEED)
+    minibatches = -(-len(view) // zoo.BATCH_SIZE)
+    counts = _count_kernel_calls(monkeypatch)
+    zoo.train(model, view, zoo.TrainConfig(epochs=1))
+    zoo.accuracy(model, ds.test_split())
+    assert counts() == {"conv2d_forward_batch": 2 * minibatches + 2,
+                        "conv2d_grad_params_batch": 2 * minibatches,
+                        "conv2d_grad_input_batch": minibatches,
+                        "conv2d_forward": 0, "conv2d_grad_input": 0, "conv2d_grad_params": 0}
+
+    counts = _count_kernel_calls(monkeypatch)
+    util.input_gradient(model, ds.images[0], np.ones(CLASSES, np.float32))
+    assert counts() == {"conv2d_forward": 2, "conv2d_grad_input": 2, "conv2d_grad_params": 0,
+                        "conv2d_forward_batch": 0, "conv2d_grad_input_batch": 0,
+                        "conv2d_grad_params_batch": 0}
 
 
 @pytest.mark.parametrize("arch", [0, 2], ids=["dense", "conv"])

@@ -37,6 +37,30 @@ def test_span_hooks_install_trace_and_restore(monkeypatch):
         assert tracer.calls(span) == 1, span
 
 
+def test_traced_training_reports_its_metrics(monkeypatch):
+    # the trainer's batches go to the kernels' _batch forms; the traced
+    # kernel spans wrap the single-sample names and cost a per-sample shape,
+    # so a batch reaching those names would make layer_metrics raise
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    layers = [nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Conv2d(3, 2, 2, 2), nn.Relu(), nn.Flatten(),
+              nn.Dense(8, util.TINY_CLASSES)]
+    model = zoo.build_model(layers, util.TINY_SHAPE, util.TINY_CLASSES, 0, "two-conv")
+    ds = zoo.make_synthetic_dataset(util.TINY_CLASSES, 5, util.TINY_SHAPE[-1], 0)
+    tracer, patcher = spans.Tracer(), spans.Patcher()
+    spans.install(tracer, patcher)
+    try:
+        zoo.accuracy(zoo.train(model, ds, zoo.TrainConfig(epochs=1)), ds)
+    finally:
+        patcher.restore()
+    m = spans.layer_metrics(tracer, [model.model_id], 0, [])
+    minibatches = -(-len(ds) // zoo.BATCH_SIZE)
+    assert tracer.calls("zoo.train.two-conv") == tracer.calls("zoo.accuracy") == 1
+    assert m["nn.fwd.calls"] == minibatches + 1 and m["nn.bwd.calls"] == minibatches
+    assert m["zoo.train.two-conv.s"] > 0
+
+
 def test_pm_spans_see_a_pm_run(monkeypatch):
     # --trace 1 reports pm.steps and losses.ensemble_grad.* from these spans
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -109,6 +109,7 @@ def test_build_search_config():
                                ({}, {"budget": {"norm": "linf", "eps": math.inf}}),
                                ({}, {"budget": {"norm": "l2", "eps": True}}),
                                ({}, {"budget": {"norm": "linf", "eps": 10**400}}),
+                               ({}, {"steps": 10**400}),
                                ({}, {"step_size": math.inf}),
                                ({}, {"step_size": True}),
                                ({"eta": math.inf}, {}),

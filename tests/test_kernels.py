@@ -177,6 +177,56 @@ def test_kernels_bitwise_equal_tensordot_kernels(case, seed, shape, zeros):
     _kernels_match(seed, shape, zeros)
 
 
+# ---------------------------------------------------------------------------
+# the batch forms equal the single-sample kernels item by item
+
+# the six default conv layers (BIT_CASES[:6]), 1x1 kernels with one and
+# several output channels, and kernels as wide as their input
+BATCH_CASES = BIT_CASES[:6] + [(4, 6, 6, 1, 1, 1), (3, 6, 7, 4, 1, 1), (2, 5, 5, 3, 5, 1),
+                               (3, 6, 6, 1, 6, 1), (2, 5, 7, 3, 5, 2)]
+BATCHES = (1, 2, 5, 16)
+
+
+def _batch_case(seed, batch, shape):
+    items = [_case(seed + i, *shape) for i in range(batch)]
+    x = np.stack([it[0] for it in items])
+    dy = np.stack([it[3] for it in items])
+    dy[batch // 2] = 0.0  # an all-zero upstream row, as a fooled member gives
+    if batch > 2:
+        dy[-1] = -0.0
+    _, wt, b, _ = items[0]
+    return x, wt, b, dy
+
+
+def _batch_matches(seed, batch, shape, zeros):
+    cin, h, w, cout, k, stride = shape
+    x, wt, b, dy = _batch_case(seed, batch, shape)
+    dy = _signed_zeros(dy, zeros, seed)
+    y = kernels.conv2d_forward_batch(x, wt, b, stride)
+    dx = kernels.conv2d_grad_input_batch(dy, wt, stride, h, w)
+    dw, db = kernels.conv2d_grad_params_batch(dy, x, k, k, stride)
+    assert y.shape[0] == dx.shape[0] == dw.shape[0] == db.shape[0] == batch
+    for i in range(batch):
+        assert _same_bits(y[i], kernels.conv2d_forward(x[i], wt, b, stride))
+        assert _same_bits(dx[i], kernels.conv2d_grad_input(dy[i], wt, stride, h, w))
+        # the single-sample parameter gradient is the batch kernel at B = 1
+        one = kernels.conv2d_grad_params(dy[i], x[i], k, k, stride)
+        assert _same_bits(dw[i], one[0]) and _same_bits(db[i], one[1])
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batch_kernels_equal_per_item_kernels(case, batch):
+    _batch_matches(batch, batch, case, "none")
+
+
+@given(seed=st.integers(0, 10**6), shape=_shapes(), batch=st.sampled_from(BATCHES),
+       zeros=ZEROS)
+@settings(max_examples=40, deadline=None)
+def test_batch_kernels_equal_per_item_kernels_on_fuzzed_shapes(seed, shape, batch, zeros):
+    _batch_matches(seed, batch, shape, zeros)
+
+
 def test_cached_indices_are_read_only_and_bounded():
     for index in (reference._cols_index, reference._rows_index):
         idx = index(2, 7, 5, 3, 3, 2)
@@ -189,11 +239,15 @@ def test_cached_indices_are_read_only_and_bounded():
         for side in range(3, maxsize + 13):
             index(1, side, 3, 3, 3, 1)
         assert index.cache_info().currsize == maxsize
+    idx = reference._scatter_index(3, 2, 7, 5, 3, 3, 2)
+    assert not idx.flags.writeable and reference._scatter_index(3, 2, 7, 5, 3, 3, 2) is idx
+    assert reference._scatter_index.cache_info().maxsize is not None
 
 
 def test_kernels_agree_across_threads():
-    # a served victim's handler threads share the cached indices; each
-    # thread starts on a different shape so the cache fills under contention
+    # a served victim's handler threads share the cached indices, and the
+    # batch forms also a scatter index per batch size; each thread starts on
+    # a different shape so the caches fill under contention
     cases = []
     for i, (cin, h, w, cout, k, stride) in enumerate(BIT_CASES):
         x, wt, b, dy = _case(i, cin, h, w, cout, k, stride)
@@ -209,11 +263,18 @@ def test_kernels_agree_across_threads():
             got = (kernels.conv2d_forward(x, wt, b, stride),
                    kernels.conv2d_grad_input(dy, wt, stride, h, w),
                    *kernels.conv2d_grad_params(dy, x, k, k, stride))
-            if not all(_same_bits(g, v) for g, v in zip(got, want)):
+            batch = 1 + (offset + r) % 5
+            xs, dys = np.stack([x] * batch), np.stack([dy] * batch)
+            got_batch = (kernels.conv2d_forward_batch(xs, wt, b, stride),
+                         kernels.conv2d_grad_input_batch(dys, wt, stride, h, w),
+                         *kernels.conv2d_grad_params_batch(dys, xs, k, k, stride))
+            if not all(_same_bits(g, v) for g, v in zip(got, want)) or not all(
+                    _same_bits(g[i], v) for g, v in zip(got_batch, want) for i in range(batch)):
                 mismatches.append((offset, r))
 
     reference._cols_index.cache_clear()
     reference._rows_index.cache_clear()
+    reference._scatter_index.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

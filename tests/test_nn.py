@@ -156,33 +156,34 @@ def test_trainer_pass_skips_the_input_gradient(layers, monkeypatch):
     ref_grads = [tuple(np.float32(0.0) + a for a in group) for group in ref_grads]
     acts = nn._forward_saved(m, x[None])
     u = u[None]
-    calls = []
-    real = kernels.conv2d_grad_input
-    monkeypatch.setattr(kernels, "conv2d_grad_input", lambda *a: calls.append(a) or real(*a))
+    calls = util.record_calls(monkeypatch, kernels, "conv2d_grad_input_batch")
+    single = util.record_calls(monkeypatch, kernels, "conv2d_grad_input")
     n_conv = sum(isinstance(layer, nn.Conv2d) for layer in layers)
 
     dx, grads = nn.backward(m, acts, u, want_param_grads=True)
-    assert dx is None and len(calls) == max(n_conv - 1, 0)
+    # only the upper conv's, whose input is (2, 4, 4)
+    assert dx is None and [a[0].shape for a in calls] == [(1, 2, 2, 2)] * max(n_conv - 1, 0)
     assert [_bits(g) for g in grads] == [_bits(g) for g in ref_grads]
 
     del calls[:]
     dx, grads = nn.backward(m, acts, u)
     assert grads is None and len(calls) == n_conv
     assert _bits(dx) == _bits([ref_dx])
+    assert single == []  # a batch never reaches the single-sample kernel
 
 
-def test_trainer_step_makes_one_grad_input_call_fewer_per_sample(monkeypatch):
+def test_trainer_step_makes_one_grad_input_call_fewer_per_minibatch(monkeypatch):
     layers = [nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Conv2d(3, 2, 2, 2), nn.Relu(),
               nn.Flatten(), nn.Dense(8, 4)]
     m = zoo.build_model(layers, (1, 6, 6), 4, 3)
-    ds = zoo.make_synthetic_dataset(num_classes=4, per_class=4, side=6, seed=3)
-    calls = []
-    real = kernels.conv2d_grad_input
-    monkeypatch.setattr(kernels, "conv2d_grad_input", lambda *a: calls.append(a) or real(*a))
+    ds = zoo.make_synthetic_dataset(num_classes=4, per_class=5, side=6, seed=3)
+    calls = util.record_calls(monkeypatch, kernels, "conv2d_grad_input_batch")
+    single = util.record_calls(monkeypatch, kernels, "conv2d_grad_input")
     zoo.train(m, ds, zoo.TrainConfig(epochs=1))
-    # two convs: the full pass would call it twice per sample
-    assert len(calls) == len(ds)
-    assert all(a[0].shape == (2, 2, 2) for a in calls)
+    # two convs: the full pass would call it twice per minibatch; the
+    # trainer makes one call, the upper conv's, for the 20 samples' 16 + 4
+    assert [a[0].shape for a in calls] == [(zoo.BATCH_SIZE, 2, 2, 2), (4, 2, 2, 2)]
+    assert single == []
 
 
 def test_backward_upstream_shape_error():
@@ -239,6 +240,21 @@ def test_model_params_frozen_and_copied():
     m2 = m.with_params([list(g) for g in m.params])
     assert all(np.array_equal(a, b) for a, b in zip(m.param_arrays(), m2.param_arrays()))
     assert m.param_count() == 36 * util.TINY_CLASSES + util.TINY_CLASSES
+
+
+def test_with_params_keeps_the_checked_stack(monkeypatch):
+    # the trainer builds one work model per minibatch: the stack's shapes
+    # are not composed again, but the parameters are still checked, copied
+    # to float32 and frozen
+    m = util.tiny_model(0, 2)
+    monkeypatch.setattr(nn, "compose_shapes", lambda *a: pytest.fail("shapes composed again"))
+    new = [tuple(a.astype(np.float64) + 1.0 for a in group) for group in m.params]
+    m2 = m.with_params(new)
+    for name in ("layers", "input_shape", "shapes", "num_classes", "model_id"):
+        assert getattr(m2, name) is getattr(m, name), name
+    assert all(a.dtype == np.float32 and not a.flags.writeable for a in m2.param_arrays())
+    new[0][0][...] = 0.0  # caller mutation must not leak in
+    assert all(np.array_equal(a, b + 1.0) for a, b in zip(m2.param_arrays(), m.param_arrays()))
 
 
 def test_model_rejects_misshaped_params():

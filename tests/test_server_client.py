@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -29,23 +30,37 @@ def soft_pair():
         yield model, handle
 
 
+@pytest.fixture
+def connect():
+    """client.connect, with every handle it opened closed when the test ends."""
+    opened = []
+
+    def connect(*args, **kwargs):
+        orc = client.connect(*args, **kwargs)
+        opened.append(orc)
+        return orc
+    yield connect
+    for orc in opened:
+        orc.close()
+
+
 def _predict_body(image):
     image = np.ascontiguousarray(image, dtype="<f4")
     return {"shape": list(image.shape),
             "pixels": base64.b64encode(image.tobytes()).decode("ascii")}
 
 
-def test_meta_handshake(soft_pair):
+def test_meta_handshake(soft_pair, connect):
     model, handle = soft_pair
-    orc = client.connect(handle.url)
+    orc = connect(handle.url)
     assert orc.num_classes == model.num_classes
     assert orc.mode == "soft"
     assert orc.input_shape == model.input_shape
 
 
-def test_soft_loopback_logits_bitwise(soft_pair):
+def test_soft_loopback_logits_bitwise(soft_pair, connect):
     model, handle = soft_pair
-    orc = client.connect(handle.url)
+    orc = connect(handle.url)
     for k in range(5):
         x = util.rand_image(100 + k)
         remote = orc.query(x)
@@ -54,9 +69,9 @@ def test_soft_loopback_logits_bitwise(soft_pair):
         assert remote.label == local.label
 
 
-def test_remote_log_matches_local_interface(soft_pair):
+def test_remote_log_matches_local_interface(soft_pair, connect):
     model, handle = soft_pair
-    orc = client.connect(handle.url)
+    orc = connect(handle.url)
     x = util.rand_image(41)
     goal = util.targeted(1)
     resp = orc.query(x, goal)
@@ -66,19 +81,19 @@ def test_remote_log_matches_local_interface(soft_pair):
     assert rec.success == oracle.is_success(resp.label, goal)
 
 
-def test_request_count_includes_meta():
+def test_request_count_includes_meta(connect):
     model = util.tiny_model(42, 1)
     with server.serve(model, mode="soft") as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         for k in range(3):
             orc.query(util.rand_image(200 + k))
         assert handle.request_count == 4
 
 
-def test_fresh_handle_skips_the_handshake():
+def test_fresh_handle_skips_the_handshake(connect):
     model = util.tiny_model(42, 1)
     with server.serve(model, mode="soft") as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         orc.query(util.rand_image(210))
         other = orc.fresh()
         other.query(util.rand_image(211))
@@ -88,10 +103,10 @@ def test_fresh_handle_skips_the_handshake():
         assert orc.count == 1 and len(orc.log) == 1
 
 
-def test_hard_server_returns_label_only():
+def test_hard_server_returns_label_only(connect):
     model = util.tiny_model(43, 0)
     with server.serve(model, mode="hard") as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         assert orc.mode == "hard"
         x = util.rand_image(43)
         resp = orc.query(x)
@@ -99,10 +114,10 @@ def test_hard_server_returns_label_only():
         assert resp.label == oracle.LocalOracle(model, "hard").query(x).label
 
 
-def test_budget_exhaustion_surfaces_partial_log():
+def test_budget_exhaustion_surfaces_partial_log(connect):
     model = util.tiny_model(44, 3)
     with server.serve(model, mode="soft", budget=2) as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         orc.query(util.rand_image(300))
         orc.query(util.rand_image(301))
         with pytest.raises(TransportError) as err:
@@ -260,11 +275,11 @@ def test_concurrent_predicts_never_overspend_budget():
     assert metrics["budget_used"] == {"127.0.0.1": budget}
 
 
-def test_keepalive_round_trip_has_no_ack_stall():
+def test_keepalive_round_trip_has_no_ack_stall(connect):
     # headers and body go out as two writes; with Nagle's algorithm on the
     # server socket each reply waited for the client's delayed ACK (>= 40 ms)
     with server.serve(util.tiny_model(55, 2), mode="soft") as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         rtt = []
         for k in range(21):
             start = time.perf_counter()
@@ -273,9 +288,9 @@ def test_keepalive_round_trip_has_no_ack_stall():
     assert statistics.median(rtt) < 0.020, rtt
 
 
-def test_metrics_endpoint():
+def test_metrics_endpoint(connect):
     with server.serve(util.tiny_model(56, 0), mode="soft", budget=2) as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         orc.query(util.rand_image(700))
         orc.query(util.rand_image(701))
         with pytest.raises(TransportError, match="429"):
@@ -292,9 +307,9 @@ def test_metrics_endpoint():
         assert math.isfinite(handle_ms[q]) and handle_ms[q] >= 0.0, q
 
 
-def test_client_raises_transport_error_on_400(soft_pair):
+def test_client_raises_transport_error_on_400(soft_pair, connect):
     _, handle = soft_pair
-    orc = client.connect(handle.url)
+    orc = connect(handle.url)
     bad = util.rand_image(46)
     bad.flat[0] = 2.0
     with pytest.raises(TransportError):
@@ -326,10 +341,10 @@ def test_connect_refuses_an_unusable_url(url):
         client.connect(url, timeout=0.75)
 
 
-def test_capability_and_config_checks():
+def test_capability_and_config_checks(connect):
     model = util.tiny_model(47, 2)
     with server.serve(model, mode="hard") as handle:
-        client.connect(handle.url, require_mode="hard")
+        connect(handle.url, require_mode="hard")
         with pytest.raises(CapabilityError):
             client.connect(handle.url, require_mode="soft")
 
@@ -365,20 +380,25 @@ def _rogue(meta, predict=b"{}", predict_status=200):
     return httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
 
 
+def _stop(httpd):
+    httpd.shutdown()
+    httpd.server_close()
+
+
 def test_rogue_meta_raises_protocol_error():
     httpd, url = _rogue(b"this is not json")
     try:
         with pytest.raises(ProtocolError):
             client.connect(url)
     finally:
-        httpd.shutdown()
+        _stop(httpd)
     httpd2, url2 = _rogue(json.dumps({"num_classes": 4, "mode": "fuzzy",
                                       "input_shape": [1, 6, 6]}).encode())
     try:
         with pytest.raises(ProtocolError):
             client.connect(url2)
     finally:
-        httpd2.shutdown()
+        _stop(httpd2)
 
 
 def _rogue_predict_fails(mode, predict, error, predict_status=200):
@@ -387,14 +407,14 @@ def _rogue_predict_fails(mode, predict, error, predict_status=200):
     meta = json.dumps({"num_classes": 4, "mode": mode, "input_shape": [1, 6, 6]}).encode()
     httpd, url = _rogue(meta, predict, predict_status)
     try:
-        orc = client.connect(url)
-        with pytest.raises(error) as err:
-            orc.query(util.rand_image(48))
-        assert err.value.partial_log is orc.log
-        assert orc.count == 0
-        return err.value
+        with closing(client.connect(url)) as orc:
+            with pytest.raises(error) as err:
+                orc.query(util.rand_image(48))
+            assert err.value.partial_log is orc.log
+            assert orc.count == 0
+            return err.value
     finally:
-        httpd.shutdown()
+        _stop(httpd)
 
 
 def test_rogue_predict_raises_protocol_error():
@@ -420,11 +440,11 @@ def test_serve_mode_validation():
         server.serve(util.tiny_model(50, 0), mode="fuzzy")
 
 
-def test_float32_round_trip_is_exact(soft_pair):
+def test_float32_round_trip_is_exact(soft_pair, connect):
     # logits travel as decimal text printed from float64; casting the parsed
     # doubles back to float32 must reproduce the server's float32 values
     model, handle = soft_pair
-    orc = client.connect(handle.url)
+    orc = connect(handle.url)
     for k in range(10):
         x = util.rand_image(400 + k)
         assert np.array_equal(orc.query(x).logits, nn.forward(model, x))
@@ -493,12 +513,12 @@ def test_meta_counts_must_be_json_integers(meta):
             client.connect(rogue.url)
 
 
-def test_client_reopens_a_connection_the_server_closed():
+def test_client_reopens_a_connection_the_server_closed(connect):
     # each reply comes under HTTP/1.1 with no "Connection: close", and then
     # the server hangs up; a client that reused the dead connection would
     # send its predict into it and get no reply
     with _RawRogue(_http_reply(_LOGITS_4)) as rogue:
-        orc = client.connect(rogue.url)
+        orc = connect(rogue.url)
         for k in range(2):
             rogue.closed.clear()
             orc.query(util.rand_image(800 + k))
@@ -506,9 +526,9 @@ def test_client_reopens_a_connection_the_server_closed():
         assert orc.count == 2
 
 
-def test_next_query_reconnects_after_a_transport_error(monkeypatch):
+def test_next_query_reconnects_after_a_transport_error(monkeypatch, connect):
     with _RawRogue(b"") as rogue:  # hangs up before any reply
-        orc = client.connect(rogue.url)
+        orc = connect(rogue.url)
         with pytest.raises(TransportError) as err:
             orc.query(util.rand_image(810))
         assert err.value.partial_log is orc.log and orc.count == 0
@@ -520,7 +540,7 @@ def test_next_query_reconnects_after_a_transport_error(monkeypatch):
     # the same after a refusal by a real server, which keeps its connection
     model = util.tiny_model(58, 1)
     with server.serve(model, mode="soft") as handle:
-        orc = client.connect(handle.url)
+        orc = connect(handle.url)
         bad = util.rand_image(813)
         bad.flat[0] = 2.0
         with pytest.raises(TransportError, match="400"):
@@ -581,13 +601,13 @@ def _rogue_predict_replies(draw):
     return _http_reply(body, status, headers), framed and draw(st.booleans())
 
 
-def test_client_survives_rogue_predict_replies():
+def test_client_survives_rogue_predict_replies(connect):
     # only the client's typed errors escape, whatever the predict reply; a
     # failed query is not counted and hands over the log so far. The handles
     # share one connection across examples, so each also starts wherever the
     # previous reply left it.
     with _RawRogue() as rogue:
-        base = client.connect(rogue.url, timeout=2.0)
+        base = connect(rogue.url, timeout=2.0)
 
         @given(_rogue_predict_replies())
         @settings(max_examples=300, deadline=None)

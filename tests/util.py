@@ -39,6 +39,14 @@ def input_gradient(model, x, upstream):
     return nn.backward(model, acts, upstream)[0]
 
 
+def record_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.<name>`` from now on."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # independent numeric oracles
 
