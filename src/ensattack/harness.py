@@ -5,9 +5,12 @@ All outputs are CSV/JSON for external plotting. Runs are deterministic per
 repeated runs produce byte-identical files.
 """
 
+import csv
 import json
 import math
 import os
+import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -15,7 +18,7 @@ import numpy as np
 from . import pm as pm_mod
 from . import zoo
 from .client import connect
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .losses import AttackGoal, LossKind
 from .oracle import LocalOracle
 from .prng import stream
@@ -285,8 +288,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
 
             per_image = replace(search_cfg, order_seed=_derive_seed(cfg.seed, f"image/{i}/order"))
             outcome = bases_attack(img, goal, victim.fresh(), surrogates, per_image)
-            export_query_log_csv(outcome, os.path.join(cfg.output_dir, "query_logs",
-                                                       f"image_{i:04d}.csv"))
+            with _atomically(os.path.join(cfg.output_dir, "query_logs",
+                                          f"image_{i:04d}.csv")) as tmp:
+                export_query_log_csv(outcome, tmp)
             records.append({
                 "index": i,
                 "label": y,
@@ -300,34 +304,90 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
         raise ConfigError("no image passed the clean-classification screen")
 
     summary = summarize(records, search_cfg.max_queries, skipped)
-    with open(os.path.join(cfg.output_dir, "success_curve.csv"), "w", encoding="utf-8") as fh:
+    curve = os.path.join(cfg.output_dir, "success_curve.csv")
+    with _atomically(curve) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("q,success_fraction\n")
         for q, frac in success_curve(records, search_cfg.max_queries):
             fh.write(f"{q},{frac!r}\n")
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with _atomically(os.path.join(cfg.output_dir, "summary.json")) as tmp, \
+            open(tmp, "w", encoding="utf-8") as fh:
         fh.write(summary_to_json(summary))
     return summary
 
 
-def records_from_csv_dir(log_dir: str):
-    """Rebuilds (success, q_used) per image from the per-image query CSVs;
-    used to cross-check summary.json against raw artifacts."""
-    import csv as _csv
+@contextmanager
+def _atomically(path):
+    """A temporary path beside ``path`` for the block to write; renamed onto
+    ``path`` when the block ends, removed if it raises. So an artifact that
+    exists is whole, and a failed rewrite leaves the old one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
-    records = []
-    for name in sorted(os.listdir(log_dir)):
+
+_LOG_NAME = re.compile(r"image_([0-9]+)\.csv")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def records_from_csv_dir(log_dir: str):
+    """Rebuilds (index, success, q_used) per image from the per-image query
+    CSVs, in image order; used to cross-check summary.json against raw
+    artifacts. ``index`` is the integer in the file name. A file with a
+    header and no rows is skipped. FormatError, naming the file, for a
+    ``.csv`` not named ``image_<digits>.csv`` (or naming an index twice), a
+    file that is not UTF-8 CSV, a missing query_index or success_flag
+    column, a query_index that is not 1-18 decimal digits, or a
+    success_flag other than 0 or 1."""
+    logs = {}
+    for name in os.listdir(log_dir):
         if not name.endswith(".csv"):
             continue
-        with open(os.path.join(log_dir, name), newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
-        if not rows:
-            continue
-        records.append({
-            "index": name,
-            "success": any(r["success_flag"] == "1" for r in rows),
-            "q_used": max(int(r["query_index"]) for r in rows),
-        })
+        match = _LOG_NAME.fullmatch(name)
+        if match is None:
+            raise FormatError(f"{name}: a query log is named image_<digits>.csv")
+        index = int(match[1])
+        if index in logs:
+            raise FormatError(f"{name}: image {index} also has {logs[index]}")
+        logs[index] = name
+    records = []
+    for index in sorted(logs):
+        rows = _read_query_log(os.path.join(log_dir, logs[index]), logs[index])
+        if rows:
+            records.append({
+                "index": index,
+                "success": any(flag for _, flag in rows),
+                "q_used": max(q for q, _ in rows),
+            })
     return records
+
+
+def _read_query_log(path, name) -> list:
+    """(query_index, success) per row of one query-log CSV."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("query_index", "success_flag")
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise FormatError(f"{name}: no {' or '.join(missing)} column")
+            for row in reader:
+                q, flag = row["query_index"], row["success_flag"]
+                if q is None or not _DIGITS.fullmatch(q) or len(q) > 18:
+                    raise FormatError(f"{name} line {reader.line_num}: "
+                                      f"query_index {q!r} is not an integer of 1-18 digits")
+                if flag not in ("0", "1"):
+                    raise FormatError(f"{name} line {reader.line_num}: "
+                                      f"success_flag {flag!r} is not 0 or 1")
+                rows.append((int(q), flag == "1"))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{name}: {exc}") from None
+    return rows
 
 
 def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: int,

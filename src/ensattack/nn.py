@@ -10,10 +10,18 @@ which only the trainer takes, exist only over a batch. Every item's result
 is bitwise the one its own single-sample pass gives. Dense layers multiply
 with ``np.matmul(w, a[:, :, None])``, which is the per-sample ``w @ a`` bit
 for bit (``a @ w.T`` is not); conv layers make one call per layer of the
-kernels' ``*_batch`` forms. The PM keeps the single-sample path and its
-kernels: it has one image per step, and at B = 1 the batched form took
-262-298 us for six surrogates' forward and backward, against 215-237 us
-single-sample (seven alternating rounds on a 2-core host).
+kernels' ``*_batch`` forms. A dense weight's gradient is one
+``np.einsum("bo,bi->oi", g, a)`` contraction, which adds the items' outer
+products in item order from +0.0, as the per-sample trainer did, without
+materialising them (on a 2-core host, 25 us against 79 us for a 48x144
+weight at B = 16). A 1x1 weight is the exception: einsum reduces a single
+output element in unrolled order, so it keeps the materialised sum
+``_batch_sum``. The trainer runs on ``_working_model``: its parameters are
+read-only views of one flat vector the trainer updates in place. The PM
+keeps the single-sample path and its kernels: it has one image per step,
+and at B = 1 the batched form took 262-298 us for six surrogates' forward
+and backward, against 215-237 us single-sample (seven alternating rounds
+on a 2-core host).
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -176,9 +184,38 @@ class Model:
         """This model with other parameters. The layer stack and its shapes
         were checked when this model was built and are immutable, so only
         the parameters are checked, copied and frozen."""
+        return self._over(_freeze_params(self.layers, new_params))
+
+    def _over(self, params: tuple) -> "Model":
+        """This model with ``params``, taken as they are."""
         model = object.__new__(Model)
-        model.__dict__.update(self.__dict__, params=_freeze_params(self.layers, new_params))
+        model.__dict__.update(self.__dict__, params=params)
         return model
+
+
+def _flat(arrays) -> np.ndarray:
+    """The elements of ``arrays``, in order, as one new float32 vector."""
+    return np.concatenate([np.empty(0, np.float32), *(a.reshape(-1) for a in arrays)])
+
+
+def _working_model(model: Model) -> tuple:
+    """(theta, work) for the trainer: ``theta`` is a writable float32 copy
+    of ``model``'s parameters as one flat vector in declaration order, and
+    ``work`` is ``model`` over read-only views of it, so every in-place
+    update of theta is the next pass's parameters without building a model
+    again. ``work`` is not frozen; a trained model is made from it with
+    ``with_params``, which copies."""
+    theta = _flat(model.param_arrays())
+    params, offset = [], 0
+    for group in model.params:
+        views = []
+        for a in group:
+            view = theta[offset:offset + a.size].reshape(a.shape)
+            view.flags.writeable = False
+            views.append(view)
+            offset += a.size
+        params.append(tuple(views))
+    return theta, model._over(tuple(params))
 
 
 def _freeze_params(layers: tuple, params: Sequence[tuple]) -> tuple:
@@ -264,10 +301,12 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
     Returns (dx, param_grads); param_grads is None unless requested, since
     the trainer is the only caller that needs it. Parameter gradients are
     taken only over a batch (ShapeError for one sample) and are summed over
-    its items in batch order from +0.0. The trainer has no use for dx, so a
-    pass that wants parameter gradients ends at the lowest layer with
-    parameters and returns None for dx. Over a batch, dx has one row per
-    item.
+    its items in batch order from +0.0: a dense weight's by one einsum
+    contraction, which sums that way, except a 1x1 weight's, which einsum
+    reduces in unrolled order and ``_batch_sum`` sums instead; every other
+    gradient by ``_batch_sum``. The trainer has no use for dx, so a pass
+    that wants parameter gradients ends at the lowest layer with parameters
+    and returns None for dx. Over a batch, dx has one row per item.
     """
     g = np.asarray(upstream, dtype=np.float32)
     if g.shape != acts[-1].shape:
@@ -283,7 +322,12 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
         if isinstance(layer, Dense):
             w, _ = model.params[i]
             if want_param_grads:
-                param_grads[i] = (_batch_sum(g[:, :, None] * a_in[:, None, :]), _batch_sum(g))
+                # einsum adds the items' outer products in item order from
+                # +0.0 without materialising them; a 1x1 weight it reduces
+                # in unrolled order, so that one keeps _batch_sum
+                dw = (np.einsum("bo,bi->oi", g, a_in) if w.size > 1
+                      else _batch_sum(g[:, :, None] * a_in[:, None, :]))
+                param_grads[i] = (dw, _batch_sum(g))
             if i == stop:
                 break
             g = np.matmul(w.T, g[:, :, None])[:, :, 0] if batched else w.T @ g

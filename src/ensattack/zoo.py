@@ -161,19 +161,27 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
     weights are bitwise those of a per-sample loop: every item's gradient
     is its single-sample gradient, the parameter gradients are summed over
     the minibatch in batch order from +0.0, and the epoch loss adds the
-    per-sample losses in sample order."""
+    per-sample losses in sample order.
+
+    The parameters live in one flat float32 vector for the whole call, and
+    the passes run on one working model over read-only views of it, built
+    once (``nn._working_model``). Each step clips on the per-array squared
+    norms, in layer order, then updates the whole vector in place with one
+    elementwise expression, which gives each element the bits the per-array
+    update gave. The returned model is a frozen copy that shares no memory
+    with the vector."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     images = nn._check_input(model, dataset.images, batch=True)
-    params = [tuple(a.copy() for a in group) for group in model.params]
+    theta, work = nn._working_model(model)
     lr = cfg.learning_rate
+    decay = np.float32(lr * WEIGHT_DECAY)
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = stream(cfg.seed, f"shuffle/{epoch}").permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
-            work = model.with_params(params)
             acts = nn._forward_saved(work, images[batch])
             sample_losses, g_logits = cross_entropy(acts[-1], dataset.labels[batch])
             for loss in sample_losses.tolist():
@@ -186,16 +194,13 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
                 if gnorm > cfg.clip_norm:
                     inv *= cfg.clip_norm / gnorm
             scale = np.float32(lr * inv)
-            decay = np.float32(lr * WEIGHT_DECAY)
-            for group, gi in zip(params, grads):
-                for a, acc in zip(group, gi):
-                    a -= scale * acc + decay * a
+            theta -= scale * nn._flat(acc for gi in grads for acc in gi) + decay * theta
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
         if record is not None:
             record.append(mean_loss)
-    return model.with_params(params)
+    return model.with_params(work.params)
 
 
 def accuracy(model: nn.Model, dataset: LabeledDataset) -> float:

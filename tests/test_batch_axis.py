@@ -61,6 +61,28 @@ def test_batched_train_matches_per_sample_trainer_under_clipping():
     assert _param_bits(got) == _param_bits(ref) and got_record == ref_record
 
 
+def test_train_builds_one_working_model_and_returns_a_frozen_copy(monkeypatch):
+    mid, layers = DEFAULT_ARCHS[1]
+    model = zoo.build_model(layers, (1, SIDE, SIDE), CLASSES, SEED, mid)
+    view = zoo.model_view(_dataset().train_split(), mid, SEED)
+    assert len(view) > zoo.BATCH_SIZE
+    made = []
+    real = nn._working_model
+    monkeypatch.setattr(nn, "_working_model", lambda m: made.append(real(m)) or made[-1])
+    frozen = util.record_calls(monkeypatch, nn, "_freeze_params")
+    trained = zoo.train(model, view, zoo.TrainConfig(epochs=2))
+    # one working model per call, and one frozen copy: the returned model
+    assert len(made) == 1 and len(frozen) == 1
+    theta, work = made[0]
+    assert _param_bits(trained) == _bits(list(work.param_arrays()))
+    for a in trained.param_arrays():
+        assert not a.flags.writeable and a.flags.c_contiguous
+        assert not np.shares_memory(a, theta)
+        assert not any(np.shares_memory(a, b) for b in model.param_arrays())
+    again = zoo.train(model, view, zoo.TrainConfig(epochs=2))
+    assert _param_bits(again) == _param_bits(trained)
+
+
 def _upstreams(n, seed):
     """Random rows, with all-+0.0 and all--0.0 rows among them."""
     u = stream(seed, "upstream").uniform((n, CLASSES), -1.0, 1.0).astype(np.float32)

@@ -179,6 +179,15 @@ def test_summarize_empty_dir_exit_2(tmp_path):
     assert main(["summarize", str(tmp_path / "nowhere")]) == 2
 
 
+def test_summarize_a_log_without_a_flag_column_exits_2(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "image_0001.csv").write_text("query_index,coordinate\n1,0\n", encoding="utf-8")
+    assert main(["summarize", str(logs)]) == 2
+    err = capsys.readouterr().err
+    assert "image_0001.csv" in err and "success_flag" in err and "Traceback" not in err
+
+
 def test_sweep_triangle_verb(zoo_dir, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep-triangle", "--zoo", zoo_dir,

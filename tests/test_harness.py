@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import util
 from ensattack import client, harness, nn, pm, server, zoo
-from ensattack.errors import ConfigError
+from ensattack.errors import ConfigError, FormatError
 from ensattack.prng import stream
 
 
@@ -292,6 +293,136 @@ def test_run_experiment_served_victim(zoo_dir, zoo_bundle, tmp_path):
     assert _artifacts(served) == _artifacts(local)
     screened = summary.attempted + summary.skipped
     assert n_requests == 1 + screened + sum(r["q_used"] for r in summary.per_image)
+
+
+def test_artifacts_are_written_whole_or_not_at_all(tmp_path):
+    path = str(tmp_path / "summary.json")
+    with pytest.raises(RuntimeError):
+        with harness._atomically(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("{\"attem")
+            raise RuntimeError("interrupted mid-write")
+    assert os.listdir(tmp_path) == []
+    with harness._atomically(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("{}\n")
+    with pytest.raises(RuntimeError):  # a failed rewrite keeps the whole old file
+        with harness._atomically(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("[")
+            raise RuntimeError("interrupted mid-write")
+    assert os.listdir(tmp_path) == ["summary.json"]
+    assert (tmp_path / "summary.json").read_text(encoding="utf-8") == "{}\n"
+
+
+def test_a_query_log_cut_off_mid_write_leaves_no_file(zoo_dir, tmp_path, monkeypatch):
+    out = str(tmp_path / "run")
+    real = harness.export_query_log_csv
+
+    def cut_off(outcome, path):
+        real(outcome, path)
+        with open(path, "r+", encoding="utf-8") as fh:
+            fh.truncate(40)
+        raise OSError("disk full")
+    monkeypatch.setattr(harness, "export_query_log_csv", cut_off)
+    with pytest.raises(OSError, match="disk full"):
+        harness.run_experiment(_experiment_cfg(zoo_dir, out))
+    assert os.listdir(os.path.join(out, "query_logs")) == []
+    assert os.listdir(out) == ["query_logs"]
+
+
+_LOG_HEADER = "query_index,coordinate,candidate_tag,victim_loss,success_flag\r\n"
+
+
+def _write_log(log_dir, name, rows=("1,0,plus,0.5,0", "2,1,minus,-0.25,1"),
+               header=_LOG_HEADER):
+    log_dir.mkdir(exist_ok=True)
+    (log_dir / name).write_bytes((header + "".join(r + "\r\n" for r in rows)).encode())
+
+
+def test_records_from_csv_dir_reads_the_index_from_the_name(tmp_path):
+    logs = tmp_path / "logs"
+    for name in ("image_10000.csv", "image_9999.csv", "image_0002.csv"):
+        _write_log(logs, name)
+    _write_log(logs, "image_0003.csv", rows=("1,0,plus,0.5,0",))
+    _write_log(logs, "image_0004.csv", rows=())  # a header alone is skipped
+    (logs / "image_0005.csv.123.tmp").write_bytes(b"query_")  # not a .csv
+    records = harness.records_from_csv_dir(str(logs))
+    assert [r["index"] for r in records] == [2, 3, 9999, 10000]
+    assert [(r["success"], r["q_used"]) for r in records] == \
+        [(True, 2), (False, 1), (True, 2), (True, 2)]
+
+
+@pytest.mark.parametrize("name, rows, header", [
+    ("log.csv", None, None),
+    ("image_12a.csv", None, None),
+    ("image_٣.csv", None, None),
+    ("image_0001.csv", None, "query_index,coordinate,candidate_tag,victim_loss\r\n"),
+    ("image_0001.csv", None, "coordinate,success_flag\r\n"),
+    ("image_0001.csv", None, ""),
+    ("image_0001.csv", ("1,0,plus,0.5,0", "x,1,minus,0.1,1"), None),
+    ("image_0001.csv", ("-1,0,plus,0.5,0",), None),
+    ("image_0001.csv", ("2.0,0,plus,0.5,0",), None),
+    ("image_0001.csv", ("1" * 40 + ",0,plus,0.5,0",), None),
+    ("image_0001.csv", ("1,0,plus,0.5,2",), None),
+    ("image_0001.csv", ("1,0,plus,0.5,true",), None),
+    ("image_0001.csv", ("1,0,plus",), None),
+], ids=["name", "name-letters", "name-non-ascii-digit", "no-flag-column", "no-index-column",
+        "empty", "index-text", "index-negative", "index-float", "index-huge", "flag-2",
+        "flag-word", "short-row"])
+def test_records_from_csv_dir_rejects_a_bad_log_naming_it(tmp_path, name, rows, header):
+    logs = tmp_path / "logs"
+    _write_log(logs, "image_0000.csv")
+    _write_log(logs, name, **({} if rows is None else {"rows": rows}),
+               **({} if header is None else {"header": header}))
+    with pytest.raises(FormatError, match=name):
+        harness.records_from_csv_dir(str(logs))
+
+
+def test_records_from_csv_dir_rejects_two_logs_of_one_image(tmp_path):
+    logs = tmp_path / "logs"
+    _write_log(logs, "image_0007.csv")
+    _write_log(logs, "image_007.csv")
+    with pytest.raises(FormatError, match="image 7"):
+        harness.records_from_csv_dir(str(logs))
+    (logs / "image_007.csv").unlink()
+    (logs / "image_0007.csv").write_bytes(b"query_index,success_flag\r\n1,\xff\r\n")
+    with pytest.raises(FormatError, match="image_0007.csv"):  # not UTF-8
+        harness.records_from_csv_dir(str(logs))
+
+
+_LOG_FILE = (_LOG_HEADER + "1,0,plus,0.5,0\r\n2,0,minus,0.25,0\r\n"
+             "3,1,\"plus,odd\",-0.125,1\r\n").encode()
+
+
+@st.composite
+def _mutated_log(draw):
+    """The log truncated, with one byte flipped, or with bytes inserted or
+    appended."""
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "append"]))
+    at = draw(st.integers(0, len(_LOG_FILE) - 1))
+    if kind == "truncate":
+        return _LOG_FILE[:at]
+    if kind == "flip":
+        return (_LOG_FILE[:at] + bytes([_LOG_FILE[at] ^ draw(st.integers(1, 255))])
+                + _LOG_FILE[at + 1:])
+    extra = draw(st.binary(min_size=1, max_size=16) | st.sampled_from(
+        [b",", b"\r\n", b"\"", b"\x00", b"9,9,x,1,1\r\n", b"\xef\xbb\xbf"]))
+    return _LOG_FILE[:at] + extra + _LOG_FILE[at:] if kind == "insert" else _LOG_FILE + extra
+
+
+@given(_mutated_log())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_query_log_gives_records_or_raises_format_error(blob):
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "image_0042.csv"), "wb") as fh:
+            fh.write(blob)
+        try:
+            records = harness.records_from_csv_dir(d)
+        except FormatError as exc:
+            assert "image_0042.csv" in str(exc)
+            return
+    assert len(records) <= 1
+    for r in records:
+        assert r["index"] == 42 and type(r["success"]) is bool
+        assert type(r["q_used"]) is int and 0 <= r["q_used"] < 10 ** 18
 
 
 def test_run_experiment_victim_overlap_guard(zoo_dir, tmp_path):

@@ -186,6 +186,49 @@ def test_trainer_step_makes_one_grad_input_call_fewer_per_minibatch(monkeypatch)
     assert single == []
 
 
+# 1xn, 1x1 and nx1 weights, then an ordinary one
+THIN_DENSE = [nn.Dense(5, 1), nn.Relu(), nn.Dense(1, 1), nn.Dense(1, 6), nn.Relu(),
+              nn.Dense(6, 3)]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 16, 17])
+def test_dense_param_gradients_are_the_in_order_sum_bit_for_bit(batch):
+    # the batched dense gradient must be the per-sample trainer's sum, from
+    # +0.0 and item by item; a NumPy build whose contraction fused the
+    # multiply and add, or reordered the items, would fail here
+    m = zoo.build_model(THIN_DENSE, (5,), 3, batch)
+    x = util.rand_image(batch, (batch, 5), "x") - np.float32(0.5)
+    x[::3, 0] = np.float32(-0.0)
+    x[1::3, 1] = np.float32(0.0)
+    u = util.rand_image(batch, (batch, 3), "upstream") - np.float32(0.5)
+    u[1::4] = np.float32(0.0)
+    u[2::4] = np.float32(-0.0)
+    acts = nn._forward_saved(m, x)
+    _, grads = nn.backward(m, acts, u, want_param_grads=True)
+    want = [tuple(np.zeros_like(a) for a in group) for group in m.params]
+    for xi, ui in zip(x, u):
+        for acc_group, item_group in zip(want, util.ref_param_grads(
+                m, nn._forward_saved(m, xi), ui)[1]):
+            for acc, val in zip(acc_group, item_group):
+                acc += val
+    assert [_bits(g) for g in grads] == [_bits(g) for g in want]
+
+
+def test_working_model_views_one_flat_vector():
+    m = util.tiny_model(4, 2)
+    theta, work = nn._working_model(m)
+    assert theta.dtype == np.float32 and theta.shape == (m.param_count(),)
+    assert theta.flags.writeable and not np.shares_memory(theta, m.params[0][0])
+    for name in ("layers", "input_shape", "shapes", "num_classes", "model_id"):
+        assert getattr(work, name) is getattr(m, name), name
+    assert _bits(work.param_arrays()) == _bits(m.param_arrays())
+    assert all(np.shares_memory(a, theta) and not a.flags.writeable
+               for a in work.param_arrays())
+    theta += np.float32(1.0)  # an update of theta is the work model's next parameters
+    assert all(np.array_equal(a, b + np.float32(1.0))
+               for a, b in zip(work.param_arrays(), m.param_arrays()))
+
+
 def test_backward_upstream_shape_error():
     m = util.tiny_model(3, 0)
     acts = nn._forward_saved(m, util.rand_image(3))
@@ -243,9 +286,9 @@ def test_model_params_frozen_and_copied():
 
 
 def test_with_params_keeps_the_checked_stack(monkeypatch):
-    # the trainer builds one work model per minibatch: the stack's shapes
-    # are not composed again, but the parameters are still checked, copied
-    # to float32 and frozen
+    # the trainer's trained model comes from here: the stack's shapes are
+    # not composed again, but the parameters are still checked, copied to
+    # float32 and frozen
     m = util.tiny_model(0, 2)
     monkeypatch.setattr(nn, "compose_shapes", lambda *a: pytest.fail("shapes composed again"))
     new = [tuple(a.astype(np.float64) + 1.0 for a in group) for group in m.params]
