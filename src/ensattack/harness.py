@@ -174,9 +174,17 @@ def _stats(values) -> dict:
 
 def summarize(records, max_queries: int, skipped: int = 0) -> MetricsSummary:
     """records: per-image dicts with at least success (bool) and q_used.
-    Failed attacks contribute q = max_queries to the all-images stats."""
+    Failed attacks contribute q = max_queries to the all-images stats.
+    ValueError unless max_queries is an integer >= 1 and no record used
+    more than max_queries queries (the message names its image index)."""
     if not records:
         raise ValueError("need at least one attacked image")
+    if type(max_queries) is not int or max_queries < 1:
+        raise ValueError(f"max_queries must be an integer >= 1, got {max_queries!r}")
+    for r in records:
+        if r["q_used"] > max_queries:
+            raise ValueError(f"image {r.get('index')} used {r['q_used']} queries, "
+                             f"more than max_queries={max_queries}")
     succ = [r for r in records if r["success"]]
     q_all = [r["q_used"] if r["success"] else max_queries for r in records]
     return MetricsSummary(

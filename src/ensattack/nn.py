@@ -16,14 +16,19 @@ products in item order from +0.0, as the per-sample trainer did, without
 materialising them (on a 2-core host, 25 us against 79 us for a 48x144
 weight at B = 16). A 1x1 weight is the exception: einsum reduces a single
 output element in unrolled order, so it keeps the materialised sum
-``_batch_sum``. The trainer runs on ``_working_model``: its parameters are
-read-only views of one flat vector the trainer updates in place. The PM
+``_batch_sum``. A model's parameters are one read-only float32 vector,
+``Model.theta``, in declaration order (the bytes a model file stores after
+its header), and each weight and bias is a view of it cut by
+``param_views``; the parameter gradient ``backward`` returns is one vector
+laid out the same way. The trainer runs on ``_working_model``, a model over
+a read-only view of a writable copy of theta that it updates in place. The PM
 keeps the single-sample path and its kernels: it has one image per step,
 and at B = 1 the batched form took 262-298 us for six surrogates' forward
 and backward, against 215-237 us single-sample (seven alternating rounds
 on a 2-core host).
 """
 
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence
 
@@ -152,14 +157,19 @@ def compose_shapes(layers: Sequence[LayerSpec], input_shape: tuple) -> list:
 
 
 class Model:
-    """An immutable classifier: layer specs plus per-layer parameters.
+    """An immutable classifier: layer specs plus one parameter vector.
 
-    Parameters are stored in declaration order, one group per layer, each
-    shaped as ``param_shapes`` states. Arrays are frozen after construction
-    so models are safe to share across threads.
+    ``theta`` is every parameter as one read-only float32 vector in
+    declaration order, weight before bias per layer: the bytes a model file
+    stores after its header. ``params`` holds one group per layer, each a
+    read-only view of ``theta`` shaped as ``param_shapes`` states, cut by
+    ``param_views``. The model is safe to share across threads.
+
+    ``params`` given to the constructor is either such a vector or one
+    group of arrays per layer; either way it is copied.
     """
 
-    def __init__(self, layers: Sequence[LayerSpec], params: Sequence[tuple], input_shape: tuple,
+    def __init__(self, layers: Sequence[LayerSpec], params, input_shape: tuple,
                  num_classes: int, model_id: str = ""):
         if num_classes < 2:
             raise LayerSpecError(f"num_classes must be >= 2, got {num_classes}")
@@ -171,70 +181,79 @@ class Model:
                 f"stack emits {self.shapes[-1][0]} logits but num_classes={num_classes}")
         self.num_classes = int(num_classes)
         self.model_id = model_id
-        self.params = _freeze_params(self.layers, params)
+        self._adopt(_theta(self.layers, params))
 
     def param_count(self) -> int:
-        return sum(a.size for group in self.params for a in group)
-
-    def param_arrays(self):
-        for group in self.params:
-            yield from group
+        return self.theta.size
 
     def with_params(self, new_params) -> "Model":
-        """This model with other parameters. The layer stack and its shapes
-        were checked when this model was built and are immutable, so only
-        the parameters are checked, copied and frozen."""
-        return self._over(_freeze_params(self.layers, new_params))
+        """This model with other parameters, given as the constructor takes
+        them. The layer stack and its shapes were checked when this model
+        was built and are immutable, so only the parameters are checked and
+        copied."""
+        return self._over(_theta(self.layers, new_params))
 
-    def _over(self, params: tuple) -> "Model":
-        """This model with ``params``, taken as they are."""
+    def _over(self, theta: np.ndarray) -> "Model":
+        """This model over ``theta``, taken as it is and made read-only."""
         model = object.__new__(Model)
-        model.__dict__.update(self.__dict__, params=params)
+        model.__dict__.update(self.__dict__)
+        model._adopt(theta)
         return model
 
-
-def _flat(arrays) -> np.ndarray:
-    """The elements of ``arrays``, in order, as one new float32 vector."""
-    return np.concatenate([np.empty(0, np.float32), *(a.reshape(-1) for a in arrays)])
-
-
-def _working_model(model: Model) -> tuple:
-    """(theta, work) for the trainer: ``theta`` is a writable float32 copy
-    of ``model``'s parameters as one flat vector in declaration order, and
-    ``work`` is ``model`` over read-only views of it, so every in-place
-    update of theta is the next pass's parameters without building a model
-    again. ``work`` is not frozen; a trained model is made from it with
-    ``with_params``, which copies."""
-    theta = _flat(model.param_arrays())
-    params, offset = [], 0
-    for group in model.params:
-        views = []
-        for a in group:
-            view = theta[offset:offset + a.size].reshape(a.shape)
-            view.flags.writeable = False
-            views.append(view)
-            offset += a.size
-        params.append(tuple(views))
-    return theta, model._over(tuple(params))
+    def _adopt(self, theta: np.ndarray) -> None:
+        theta.flags.writeable = False
+        self.theta, self.params = theta, param_views(self.layers, theta)
 
 
-def _freeze_params(layers: tuple, params: Sequence[tuple]) -> tuple:
-    """Float32 C-contiguous read-only copies of ``params``, one group per
-    layer; LayerSpecError unless each group has ``param_shapes`` shapes."""
+def theta_size(layers: Sequence[LayerSpec]) -> int:
+    """Number of parameters of a layer stack: the length of its theta."""
+    return sum(math.prod(shape) for layer in layers for shape in param_shapes(layer))
+
+
+def param_views(layers: Sequence[LayerSpec], vector: np.ndarray) -> tuple:
+    """``vector``, one float per parameter in declaration order, cut into
+    one group of views per layer, shaped as ``param_shapes`` states. Each
+    view is writable exactly when ``vector`` is."""
+    groups, at = [], 0
+    for layer in layers:
+        group = []
+        for shape in param_shapes(layer):
+            size = math.prod(shape)
+            group.append(vector[at:at + size].reshape(shape))
+            at += size
+        groups.append(tuple(group))
+    return tuple(groups)
+
+
+def _theta(layers: tuple, params) -> np.ndarray:
+    """A new float32 vector of ``params``, in declaration order.
+    LayerSpecError unless ``params`` is a 1-D array of one float per
+    parameter, or one group per layer with ``param_shapes`` shapes."""
+    if isinstance(params, np.ndarray):
+        size = theta_size(layers)
+        if params.shape != (size,):
+            raise LayerSpecError(f"parameter vector has shape {params.shape}, expected ({size},)")
+        return params.astype(np.float32)
     if len(params) != len(layers):
         raise LayerSpecError(f"{len(layers)} layers but {len(params)} parameter groups")
-    frozen = []
+    arrays = []
     for layer, p in zip(layers, params):
-        # copy so freezing never aliases caller-owned arrays
-        group = tuple(np.array(a, dtype=np.float32, order="C") for a in p)
+        group = tuple(np.asarray(a, dtype=np.float32) for a in p)
         shapes, wanted = tuple(a.shape for a in group), param_shapes(layer)
         if shapes != wanted:
             raise LayerSpecError(f"{layer.kind} parameters have shapes {shapes}, "
                                  f"expected {wanted}")
-        for a in group:
-            a.flags.writeable = False
-        frozen.append(group)
-    return tuple(frozen)
+        arrays.extend(a.reshape(-1) for a in group)
+    return np.concatenate([np.empty(0, np.float32), *arrays])
+
+
+def _working_model(model: Model) -> tuple:
+    """(theta, work) for the trainer: ``theta`` is a writable copy of
+    ``model.theta``, and ``work`` is ``model`` over a read-only view of it,
+    so every in-place update of theta is the next pass's parameters
+    without building a model again."""
+    theta = model.theta.copy()
+    return theta, model._over(theta.view())
 
 
 def _check_input(model: Model, x: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -298,15 +317,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: bool = False):
     """Reverse-mode pass over saved activations.
 
-    Returns (dx, param_grads); param_grads is None unless requested, since
-    the trainer is the only caller that needs it. Parameter gradients are
-    taken only over a batch (ShapeError for one sample) and are summed over
-    its items in batch order from +0.0: a dense weight's by one einsum
-    contraction, which sums that way, except a 1x1 weight's, which einsum
-    reduces in unrolled order and ``_batch_sum`` sums instead; every other
-    gradient by ``_batch_sum``. The trainer has no use for dx, so a pass
-    that wants parameter gradients ends at the lowest layer with parameters
-    and returns None for dx. Over a batch, dx has one row per item.
+    Returns (dx, dtheta). dtheta is None unless requested, since the
+    trainer is the only caller that needs it; it is then one new float32
+    vector laid out as ``model.theta``, each layer's gradients written into
+    its ``param_views``. Parameter gradients are taken only over a batch
+    (ShapeError for one sample) and are summed over its items in batch
+    order from +0.0: a dense weight's by one einsum contraction, which sums
+    that way, except a 1x1 weight's, which einsum reduces in unrolled order
+    and ``_batch_sum`` sums instead; every other gradient by
+    ``_batch_sum``. The trainer has no use for dx, so a pass that wants
+    parameter gradients ends at the lowest layer with parameters and
+    returns None for dx. Over a batch, dx has one row per item.
     """
     g = np.asarray(upstream, dtype=np.float32)
     if g.shape != acts[-1].shape:
@@ -314,7 +335,8 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
     batched = g.ndim > 1
     if want_param_grads and not batched:
         raise ShapeError("parameter gradients are taken over a batch, got one sample")
-    param_grads = [()] * len(model.layers) if want_param_grads else None
+    dtheta = np.empty(model.theta.size, np.float32) if want_param_grads else None
+    grads = param_views(model.layers, dtheta) if want_param_grads else None
     stop = next((i for i, p in enumerate(model.params) if p), 0) if want_param_grads else -1
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -322,12 +344,15 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
         if isinstance(layer, Dense):
             w, _ = model.params[i]
             if want_param_grads:
+                dw, db = grads[i]
                 # einsum adds the items' outer products in item order from
                 # +0.0 without materialising them; a 1x1 weight it reduces
                 # in unrolled order, so that one keeps _batch_sum
-                dw = (np.einsum("bo,bi->oi", g, a_in) if w.size > 1
-                      else _batch_sum(g[:, :, None] * a_in[:, None, :]))
-                param_grads[i] = (dw, _batch_sum(g))
+                if w.size > 1:
+                    np.einsum("bo,bi->oi", g, a_in, out=dw)
+                else:
+                    dw[...] = _batch_sum(g[:, :, None] * a_in[:, None, :])
+                db[...] = _batch_sum(g)
             if i == stop:
                 break
             g = np.matmul(w.T, g[:, :, None])[:, :, 0] if batched else w.T @ g
@@ -336,8 +361,8 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             k, s = layer.kernel_size, layer.stride
             g = np.ascontiguousarray(g, dtype=np.float32)
             if want_param_grads:
-                dw, db = kernels.conv2d_grad_params_batch(g, a_in, k, k, s)
-                param_grads[i] = (_batch_sum(dw), _batch_sum(db))
+                for parts, out in zip(kernels.conv2d_grad_params_batch(g, a_in, k, k, s), grads[i]):
+                    out[...] = _batch_sum(parts)
             if i == stop:
                 break
             grad_input = kernels.conv2d_grad_input_batch if batched else kernels.conv2d_grad_input
@@ -347,5 +372,4 @@ def backward(model: Model, acts: list, upstream: np.ndarray, want_param_grads: b
             g = g * (a_in > 0)
         else:  # flatten
             g = g.reshape(a_in.shape)
-    return (None if want_param_grads else g), param_grads
-
+    return (None if want_param_grads else g), dtheta

@@ -10,8 +10,9 @@ File formats
 Model file (magic ``BEM1``):
     4 bytes magic, u32le header length, UTF-8 JSON header
     {"spec": {"input_shape": [...], "layers": [...]}, "num_classes": C,
-     "id": str}, then each parameter tensor as little-endian float32 in
-    declaration order (weight before bias per layer).
+     "id": str}, then the model's parameter vector ``Model.theta`` as
+    little-endian float32: every parameter in declaration order, weight
+    before bias per layer, each array in C order.
 Dataset file (magic ``BDS1``):
     4 bytes magic, u32le count / num_classes / side, then per sample a
     u16le label followed by side*side little-endian float32 pixels.
@@ -80,14 +81,14 @@ class LabeledDataset:
 
 BATCH_SIZE = 16
 WEIGHT_DECAY = 1e-4
+CLIP_NORM = 5.0  # global gradient-norm clip per minibatch
+SHUFFLE_SEED = 0  # keys the per-epoch minibatch order
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     learning_rate: float = 0.1
-    seed: int = 0
-    clip_norm: float = 5.0  # global grad-norm clip per batch; 0 disables
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -138,24 +139,22 @@ def build_model(layers, input_shape, num_classes: int, seed: int, model_id: str 
     """Seeded uniform fan-in init: weights U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     biases zero."""
     nn.compose_shapes(layers, input_shape)
-    params = []
-    for idx, layer in enumerate(layers):
-        if not nn.param_shapes(layer):
-            params.append(())
-            continue
-        w_shape, b_shape = nn.param_shapes(layer)
-        bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))
-        w = stream(seed, f"init/{model_id}/{idx}/w").uniform(w_shape, -bound, bound)
-        params.append((w, np.zeros(b_shape, dtype=np.float32)))
-    return nn.Model(layers, params, input_shape, num_classes, model_id)
+    theta = np.zeros(nn.theta_size(layers), np.float32)
+    for idx, group in enumerate(nn.param_views(layers, theta)):
+        if group:
+            w = group[0]
+            bound = 1.0 / np.sqrt(math.prod(w.shape[1:]))
+            w[...] = stream(seed, f"init/{model_id}/{idx}/w").uniform(w.shape, -bound, bound)
+    return nn.Model(layers, theta, input_shape, num_classes, model_id)
 
 
 def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=None) -> nn.Model:
     """Minibatch SGD on the targeted cross-entropy toward each true label,
-    with weight decay and a global gradient-norm clip. Deterministic given
-    cfg.seed; batch order reshuffled per epoch from its own stream. If
-    ``record`` is a list, the per-epoch mean loss is appended to it.
-    ShapeError if the images do not fit the model's input.
+    with weight decay and a global gradient-norm clip at CLIP_NORM.
+    Deterministic: the batch order is reshuffled per epoch from its own
+    stream of SHUFFLE_SEED. If ``record`` is a list, the per-epoch mean
+    loss is appended to it. ShapeError if the images do not fit the
+    model's input.
 
     Each minibatch is one batched forward, loss and backward. The trained
     weights are bitwise those of a per-sample loop: every item's gradient
@@ -163,13 +162,14 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
     the minibatch in batch order from +0.0, and the epoch loss adds the
     per-sample losses in sample order.
 
-    The parameters live in one flat float32 vector for the whole call, and
-    the passes run on one working model over read-only views of it, built
-    once (``nn._working_model``). Each step clips on the per-array squared
-    norms, in layer order, then updates the whole vector in place with one
-    elementwise expression, which gives each element the bits the per-array
-    update gave. The returned model is a frozen copy that shares no memory
-    with the vector."""
+    The parameters live in one writable copy of ``model.theta`` for the
+    whole call, and the passes run on one working model over a read-only
+    view of it, built once (``nn._working_model``). Each step takes the
+    gradient as one vector laid out as theta, clips on the per-array
+    squared norms, in layer order, then updates the whole vector in place
+    with one elementwise expression, which gives each element the bits the
+    per-array update gave. The returned model holds a copy of the vector,
+    so it shares no memory with it."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     images = nn._check_input(model, dataset.images, batch=True)
@@ -178,7 +178,7 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
     decay = np.float32(lr * WEIGHT_DECAY)
     n = len(dataset)
     for epoch in range(cfg.epochs):
-        order = stream(cfg.seed, f"shuffle/{epoch}").permutation(n)
+        order = stream(SHUFFLE_SEED, f"shuffle/{epoch}").permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
@@ -186,21 +186,21 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
             sample_losses, g_logits = cross_entropy(acts[-1], dataset.labels[batch])
             for loss in sample_losses.tolist():
                 epoch_loss += loss
-            _, grads = nn.backward(work, acts, g_logits, want_param_grads=True)
+            _, dtheta = nn.backward(work, acts, g_logits, want_param_grads=True)
             inv = 1.0 / len(batch)
-            if cfg.clip_norm > 0:
-                sq = sum(float((acc * acc).sum()) for gi in grads for acc in gi)
-                gnorm = np.sqrt(sq) * inv
-                if gnorm > cfg.clip_norm:
-                    inv *= cfg.clip_norm / gnorm
+            sq = sum(float((acc * acc).sum())
+                     for gi in nn.param_views(work.layers, dtheta) for acc in gi)
+            gnorm = np.sqrt(sq) * inv
+            if gnorm > CLIP_NORM:
+                inv *= CLIP_NORM / gnorm
             scale = np.float32(lr * inv)
-            theta -= scale * nn._flat(acc for gi in grads for acc in gi) + decay * theta
+            theta -= scale * dtheta + decay * theta
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
         if record is not None:
             record.append(mean_loss)
-    return model.with_params(work.params)
+    return model.with_params(theta)
 
 
 def accuracy(model: nn.Model, dataset: LabeledDataset) -> float:
@@ -233,8 +233,7 @@ def save_model(model: nn.Model, path) -> None:
         fh.write(_MAGIC_MODEL)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for arr in model.param_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(model.theta.astype("<f4", copy=False).tobytes())
 
 
 def load_model(path) -> nn.Model:
@@ -260,8 +259,7 @@ def load_model(path) -> nn.Model:
     except (ValueError, KeyError, TypeError, LayerSpecError) as exc:
         raise FormatError(f"unreadable header: {exc}", offset=8) from None
     start = 8 + hlen
-    shapes = [nn.param_shapes(layer) for layer in layers]
-    end = start + 4 * sum(math.prod(shape) for group in shapes for shape in group)
+    end = start + 4 * nn.theta_size(layers)
     if end > len(raw):
         raise FormatError("truncated parameter data", offset=len(raw))
     if end != len(raw):
@@ -273,15 +271,8 @@ def load_model(path) -> nn.Model:
         first = int(np.argmin(finite))
         raise FormatError(f"parameter {first} is {payload[first]}, not finite",
                           offset=start + 4 * first)
-    params, at = [], 0
-    for group in shapes:
-        arrays = []
-        for shape in group:
-            arrays.append(payload[at : at + math.prod(shape)].reshape(shape))
-            at += math.prod(shape)
-        params.append(tuple(arrays))
     try:
-        return nn.Model(layers, params, input_shape, num_classes, model_id)
+        return nn.Model(layers, payload, input_shape, num_classes, model_id)
     except LayerSpecError as exc:
         raise FormatError(f"unreadable header: {exc}", offset=8) from None
 

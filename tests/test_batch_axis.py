@@ -27,7 +27,7 @@ def _bits(arrays):
 
 
 def _param_bits(model):
-    return _bits(list(model.param_arrays()))
+    return _bits([model.theta])
 
 
 def _dataset():
@@ -35,12 +35,13 @@ def _dataset():
 
 
 @pytest.mark.parametrize("mid, layers", DEFAULT_ARCHS, ids=_ids(DEFAULT_ARCHS))
-def test_batched_train_matches_per_sample_trainer(mid, layers):
+def test_batched_train_matches_per_sample_trainer(mid, layers, monkeypatch):
     view = zoo.model_view(_dataset().train_split(), mid, SEED)
     assert len(view) == 100 and len(view) % zoo.BATCH_SIZE == 4  # a short last minibatch
     model = zoo.build_model(layers, (1, SIDE, SIDE), CLASSES, SEED, mid)
+    monkeypatch.setattr(zoo, "SHUFFLE_SEED", 3)  # both trainers read it
     cfg = zoo.TrainConfig(epochs=3, learning_rate=zoo.TRAIN_SCHEDULE.get(
-        mid, zoo.DEFAULT_TRAIN).learning_rate, seed=3)
+        mid, zoo.DEFAULT_TRAIN).learning_rate)
     got_record, ref_record = [], []
     got = zoo.train(model, view, cfg, record=got_record)
     ref = util.per_sample_train(model, view, cfg, record=ref_record)
@@ -49,12 +50,14 @@ def test_batched_train_matches_per_sample_trainer(mid, layers):
     assert got_record == ref_record and len(got_record) == 3
 
 
-def test_batched_train_matches_per_sample_trainer_under_clipping():
+def test_batched_train_matches_per_sample_trainer_under_clipping(monkeypatch):
     # a large step makes the global norm clip fire
     ds = zoo.make_synthetic_dataset(4, 9, 8, 2)
     model = zoo.build_model([nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Flatten(), nn.Dense(108, 4)],
                             (1, 8, 8), 4, 2)
-    cfg = zoo.TrainConfig(epochs=2, learning_rate=2.0, seed=1, clip_norm=0.5)
+    monkeypatch.setattr(zoo, "SHUFFLE_SEED", 1)  # both trainers read them
+    monkeypatch.setattr(zoo, "CLIP_NORM", 0.5)
+    cfg = zoo.TrainConfig(epochs=2, learning_rate=2.0)
     got_record, ref_record = [], []
     got = zoo.train(model, ds, cfg, record=got_record)
     ref = util.per_sample_train(model, ds, cfg, record=ref_record)
@@ -69,16 +72,16 @@ def test_train_builds_one_working_model_and_returns_a_frozen_copy(monkeypatch):
     made = []
     real = nn._working_model
     monkeypatch.setattr(nn, "_working_model", lambda m: made.append(real(m)) or made[-1])
-    frozen = util.record_calls(monkeypatch, nn, "_freeze_params")
     trained = zoo.train(model, view, zoo.TrainConfig(epochs=2))
-    # one working model per call, and one frozen copy: the returned model
-    assert len(made) == 1 and len(frozen) == 1
+    # one working model per call, over the one vector the steps update
+    assert len(made) == 1
     theta, work = made[0]
-    assert _param_bits(trained) == _bits(list(work.param_arrays()))
-    for a in trained.param_arrays():
-        assert not a.flags.writeable and a.flags.c_contiguous
-        assert not np.shares_memory(a, theta)
-        assert not any(np.shares_memory(a, b) for b in model.param_arrays())
+    assert np.shares_memory(work.theta, theta) and _param_bits(work) == _bits([theta])
+    # the returned model holds a frozen copy of that vector
+    util.assert_views_of_theta(trained)
+    assert _param_bits(trained) == _bits([theta])
+    assert not np.shares_memory(trained.theta, theta)
+    assert not np.shares_memory(trained.theta, model.theta)
     again = zoo.train(model, view, zoo.TrainConfig(epochs=2))
     assert _param_bits(again) == _param_bits(trained)
 
@@ -116,7 +119,8 @@ def test_item_results_do_not_depend_on_its_batch(mid, layers):
             assert _bits(g) == _bits([ref_loss[i][1] for i in idx])
             dx, none = nn.backward(model, batch_acts, u[idx])
             assert none is None and _bits(dx) == _bits([ref_dx[i] for i in idx])
-            none, pg = nn.backward(model, batch_acts, u[idx], want_param_grads=True)
+            none, dtheta = nn.backward(model, batch_acts, u[idx], want_param_grads=True)
+            pg = nn.param_views(model.layers, dtheta)
             # the per-sample trainer's sum: +0.0, then each item in batch order
             want = [tuple(np.zeros_like(a) for a in group) for group in model.params]
             for i in idx:

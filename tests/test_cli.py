@@ -179,6 +179,21 @@ def test_summarize_empty_dir_exit_2(tmp_path):
     assert main(["summarize", str(tmp_path / "nowhere")]) == 2
 
 
+@pytest.mark.parametrize("max_queries, rows, message", [
+    ("-5", "1,0\n", "max_queries must be an integer >= 1"),
+    ("0", "1,0\n", "max_queries must be an integer >= 1"),
+    ("5", "1,0\n9,0\n", "image 3 used 9 queries"),
+])
+def test_summarize_a_bad_budget_or_an_overspent_log_exits_2(tmp_path, capsys, max_queries,
+                                                            rows, message):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "image_0003.csv").write_text("query_index,success_flag\n" + rows, encoding="utf-8")
+    assert main(["summarize", str(logs), "--max-queries", max_queries]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_summarize_a_log_without_a_flag_column_exits_2(tmp_path, capsys):
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -237,3 +252,10 @@ def test_serve_verb_subprocess(zoo_dir):
 def test_serve_missing_model_exit_2(tmp_path):
     assert main(["serve", "--model", str(tmp_path / "ghost.bem"),
                  "--bind", "127.0.0.1:0"]) == 2
+
+
+def test_serve_a_negative_budget_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "m.bem")
+    zoo.save_model(util.tiny_model(50, 0), path)
+    assert main(["serve", "--model", path, "--bind", "127.0.0.1:0", "--budget", "-1"]) == 2
+    assert "budget" in capsys.readouterr().err

@@ -206,6 +206,21 @@ def test_summarize_examples():
         harness.summarize([], max_queries=50)
 
 
+@pytest.mark.parametrize("max_queries", [0, -5, 2.5, True, "50", None])
+def test_summarize_refuses_a_budget_that_is_not_a_count(max_queries):
+    # -5 used to count each failed image as -5 queries
+    with pytest.raises(ValueError, match="max_queries must be an integer >= 1"):
+        harness.summarize([{"index": 0, "success": False, "q_used": 1}], max_queries)
+
+
+def test_summarize_refuses_a_record_over_the_budget_naming_its_image():
+    records = [{"index": 4, "success": True, "q_used": 50},
+               {"index": 9, "success": False, "q_used": 51}]
+    with pytest.raises(ValueError, match="image 9 used 51 queries, more than max_queries=50"):
+        harness.summarize(records, max_queries=50)
+    assert harness.summarize(records[:1], max_queries=50).queries_all["max"] == 50.0
+
+
 def test_summary_json_stable():
     s = harness.summarize([{"success": True, "q_used": 2}], max_queries=10, skipped=1)
     text = harness.summary_to_json(s)

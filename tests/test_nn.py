@@ -116,7 +116,8 @@ def test_param_gradients_match_fd():
     x = util.rand_image(23)
     u = np.ones((1, util.TINY_CLASSES), np.float32)
     acts = nn._forward_saved(m, x[None])
-    _, grads = nn.backward(m, acts, u, want_param_grads=True)
+    _, dtheta = nn.backward(m, acts, u, want_param_grads=True)
+    grads = nn.param_views(m.layers, dtheta)
 
     def loss_with(li, pi, idx, v):
         new = [list(g) for g in m.params]
@@ -160,10 +161,10 @@ def test_trainer_pass_skips_the_input_gradient(layers, monkeypatch):
     single = util.record_calls(monkeypatch, kernels, "conv2d_grad_input")
     n_conv = sum(isinstance(layer, nn.Conv2d) for layer in layers)
 
-    dx, grads = nn.backward(m, acts, u, want_param_grads=True)
+    dx, dtheta = nn.backward(m, acts, u, want_param_grads=True)
     # only the upper conv's, whose input is (2, 4, 4)
     assert dx is None and [a[0].shape for a in calls] == [(1, 2, 2, 2)] * max(n_conv - 1, 0)
-    assert [_bits(g) for g in grads] == [_bits(g) for g in ref_grads]
+    assert [_bits(g) for g in nn.param_views(m.layers, dtheta)] == [_bits(g) for g in ref_grads]
 
     del calls[:]
     dx, grads = nn.backward(m, acts, u)
@@ -204,29 +205,28 @@ def test_dense_param_gradients_are_the_in_order_sum_bit_for_bit(batch):
     u[1::4] = np.float32(0.0)
     u[2::4] = np.float32(-0.0)
     acts = nn._forward_saved(m, x)
-    _, grads = nn.backward(m, acts, u, want_param_grads=True)
+    _, dtheta = nn.backward(m, acts, u, want_param_grads=True)
     want = [tuple(np.zeros_like(a) for a in group) for group in m.params]
     for xi, ui in zip(x, u):
         for acc_group, item_group in zip(want, util.ref_param_grads(
                 m, nn._forward_saved(m, xi), ui)[1]):
             for acc, val in zip(acc_group, item_group):
                 acc += val
-    assert [_bits(g) for g in grads] == [_bits(g) for g in want]
+    assert [_bits(g) for g in nn.param_views(m.layers, dtheta)] == [_bits(g) for g in want]
 
 
 def test_working_model_views_one_flat_vector():
     m = util.tiny_model(4, 2)
     theta, work = nn._working_model(m)
     assert theta.dtype == np.float32 and theta.shape == (m.param_count(),)
-    assert theta.flags.writeable and not np.shares_memory(theta, m.params[0][0])
+    assert theta.flags.writeable and not np.shares_memory(theta, m.theta)
     for name in ("layers", "input_shape", "shapes", "num_classes", "model_id"):
         assert getattr(work, name) is getattr(m, name), name
-    assert _bits(work.param_arrays()) == _bits(m.param_arrays())
-    assert all(np.shares_memory(a, theta) and not a.flags.writeable
-               for a in work.param_arrays())
+    util.assert_views_of_theta(work)
+    assert np.shares_memory(work.theta, theta) and _bits([work.theta]) == _bits([m.theta])
     theta += np.float32(1.0)  # an update of theta is the work model's next parameters
-    assert all(np.array_equal(a, b + np.float32(1.0))
-               for a, b in zip(work.param_arrays(), m.param_arrays()))
+    assert np.array_equal(work.theta, m.theta + np.float32(1.0))
+    assert np.array_equal(work.params[-1][0], m.params[-1][0] + np.float32(1.0))
 
 
 def test_backward_upstream_shape_error():
@@ -244,9 +244,9 @@ def test_param_gradients_are_taken_over_a_batch_only(arch):
     u = np.ones(util.TINY_CLASSES, np.float32)
     with pytest.raises(ShapeError):
         nn.backward(m, nn._forward_saved(m, x), u, want_param_grads=True)
-    _, grads = nn.backward(m, nn._forward_saved(m, x[None]), u[None], want_param_grads=True)
-    assert [tuple(a.shape for a in g) for g in grads] == [nn.param_shapes(lay)
-                                                          for lay in m.layers]
+    _, dtheta = nn.backward(m, nn._forward_saved(m, x[None]), u[None], want_param_grads=True)
+    # one vector, laid out as the model's parameters
+    assert dtheta.dtype == np.float32 and dtheta.shape == m.theta.shape
 
 
 def test_layer_spec_composition_errors():
@@ -280,8 +280,15 @@ def test_model_params_frozen_and_copied():
     assert m.params[1][0][0, 0] == 0.0
     with pytest.raises(ValueError):
         m.params[1][0][0, 0] = 1.0
-    m2 = m.with_params([list(g) for g in m.params])
-    assert all(np.array_equal(a, b) for a, b in zip(m.param_arrays(), m2.param_arrays()))
+    with pytest.raises(ValueError):
+        m.theta[0] = 1.0
+    util.assert_views_of_theta(m)
+    # the vector form: a copy of it, not the caller's array
+    vector = m.theta.copy()
+    for m2 in (m.with_params([list(g) for g in m.params]), m.with_params(vector),
+               nn.Model(m.layers, vector, m.input_shape, m.num_classes)):
+        util.assert_views_of_theta(m2)
+        assert np.array_equal(m2.theta, m.theta) and not np.shares_memory(m2.theta, vector)
     assert m.param_count() == 36 * util.TINY_CLASSES + util.TINY_CLASSES
 
 
@@ -295,9 +302,9 @@ def test_with_params_keeps_the_checked_stack(monkeypatch):
     m2 = m.with_params(new)
     for name in ("layers", "input_shape", "shapes", "num_classes", "model_id"):
         assert getattr(m2, name) is getattr(m, name), name
-    assert all(a.dtype == np.float32 and not a.flags.writeable for a in m2.param_arrays())
+    util.assert_views_of_theta(m2)
     new[0][0][...] = 0.0  # caller mutation must not leak in
-    assert all(np.array_equal(a, b + 1.0) for a, b in zip(m2.param_arrays(), m.param_arrays()))
+    assert np.array_equal(m2.theta, m.theta + np.float32(1.0))
 
 
 def test_model_rejects_misshaped_params():
@@ -309,7 +316,9 @@ def test_model_rejects_misshaped_params():
                 [(), (good[1][0], np.zeros(util.TINY_CLASSES + 1, np.float32))],
                 [(), (good[1][0],)],
                 [(np.zeros(1, np.float32),), good[1]],
-                [good[1]]):
+                [good[1]],
+                np.zeros(36 * util.TINY_CLASSES, np.float32),  # a vector without the bias
+                np.zeros((1, 36 * util.TINY_CLASSES + util.TINY_CLASSES), np.float32)):
         with pytest.raises(LayerSpecError, match="expected|groups"):
             nn.Model(layers, bad, util.TINY_SHAPE, util.TINY_CLASSES)
         with pytest.raises(LayerSpecError, match="expected|groups"):

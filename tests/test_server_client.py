@@ -440,6 +440,13 @@ def test_serve_mode_validation():
         server.serve(util.tiny_model(50, 0), mode="fuzzy")
 
 
+@pytest.mark.parametrize("budget", [-1, -5, 2.0, True, "3"])
+def test_serve_refuses_a_budget_that_is_not_a_count(budget):
+    # budget=-1 used to start a victim that answered every predict with 429
+    with pytest.raises(ValueError, match="budget"):
+        server.serve(util.tiny_model(50, 0), budget=budget)
+
+
 def test_float32_round_trip_is_exact(soft_pair, connect):
     # logits travel as decimal text printed from float64; casting the parsed
     # doubles back to float32 must reproduce the server's float32 values

@@ -22,7 +22,7 @@ against them bit for bit.
 
 import numpy as np
 
-from ensattack import nn
+from ensattack import nn, zoo
 from ensattack.errors import DegenerateClassifierError, TrainingDivergedError
 from ensattack.losses import (_P_FLOOR, AttackGoal, LossKind, check_weights, cross_entropy,
                               single_loss)
@@ -133,14 +133,16 @@ TRAIN_LOSS = LossKind("cross_entropy")
 
 def per_sample_train(model, dataset, cfg, record=None):
     """zoo.train as it ran before minibatches were batched: one forward,
-    single_loss and backward per sample."""
+    single_loss and backward per sample. The clip norm and shuffle seed are
+    read from the zoo module at call time, so a test can patch them."""
+
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     params = [tuple(a.copy() for a in group) for group in model.params]
     lr = cfg.learning_rate
     n = len(dataset)
     for epoch in range(cfg.epochs):
-        order = stream(cfg.seed, f"shuffle/{epoch}").permutation(n)
+        order = stream(zoo.SHUFFLE_SEED, f"shuffle/{epoch}").permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
@@ -156,11 +158,10 @@ def per_sample_train(model, dataset, cfg, record=None):
                     for acc, val in zip(gi, pg):
                         acc += val
             inv = 1.0 / len(batch)
-            if cfg.clip_norm > 0:
-                sq = sum(float((acc * acc).sum()) for gi in grads for acc in gi)
-                gnorm = np.sqrt(sq) * inv
-                if gnorm > cfg.clip_norm:
-                    inv *= cfg.clip_norm / gnorm
+            sq = sum(float((acc * acc).sum()) for gi in grads for acc in gi)
+            gnorm = np.sqrt(sq) * inv
+            if gnorm > zoo.CLIP_NORM:
+                inv *= zoo.CLIP_NORM / gnorm
             scale = np.float32(lr * inv)
             decay = np.float32(lr * WEIGHT_DECAY)
             for group, gi in zip(params, grads):
@@ -172,6 +173,20 @@ def per_sample_train(model, dataset, cfg, record=None):
         if record is not None:
             record.append(mean_loss)
     return model.with_params(params)
+
+
+def assert_views_of_theta(model):
+    """The model's parameters are one read-only float32 vector, ``theta``,
+    and each weight and bias is a read-only view of it, in declaration
+    order and shaped as nn.param_shapes states."""
+    theta = model.theta
+    assert theta.dtype == np.float32 and theta.shape == (model.param_count(),)
+    assert not theta.flags.writeable
+    arrays = [a for group in model.params for a in group]
+    assert [a.shape for a in arrays] == [s for layer in model.layers
+                                         for s in nn.param_shapes(layer)]
+    assert all(np.shares_memory(a, theta) and not a.flags.writeable for a in arrays)
+    assert b"".join(a.tobytes() for a in arrays) == theta.tobytes()
 
 
 def per_sample_accuracy(model, dataset):
