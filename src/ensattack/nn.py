@@ -23,9 +23,9 @@ its header), and each weight and bias is a view of it cut by
 laid out the same way. The trainer runs on ``_working_model``, a model over
 a read-only view of a writable copy of theta that it updates in place. The PM
 keeps the single-sample path and its kernels: it has one image per step,
-and at B = 1 the batched form took 262-298 us for six surrogates' forward
-and backward, against 215-237 us single-sample (seven alternating rounds
-on a 2-core host).
+and at B = 1 the batched form took 154 us for six surrogates' forward and
+backward (input gradient only), against 126 us single-sample (min of seven
+rounds on a 2-core host).
 """
 
 import math
@@ -165,33 +165,30 @@ class Model:
     read-only view of ``theta`` shaped as ``param_shapes`` states, cut by
     ``param_views``. The model is safe to share across threads.
 
-    ``params`` given to the constructor is either such a vector or one
-    group of arrays per layer; either way it is copied.
+    ``theta`` given to the constructor is such a vector, and it is copied.
     """
 
-    def __init__(self, layers: Sequence[LayerSpec], params, input_shape: tuple,
+    def __init__(self, layers: Sequence[LayerSpec], theta: np.ndarray, input_shape: tuple,
                  num_classes: int, model_id: str = ""):
         if num_classes < 2:
             raise LayerSpecError(f"num_classes must be >= 2, got {num_classes}")
         self.layers = tuple(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.shapes = tuple(compose_shapes(self.layers, self.input_shape))
-        if self.shapes[-1][0] != num_classes:
-            raise LayerSpecError(
-                f"stack emits {self.shapes[-1][0]} logits but num_classes={num_classes}")
+        logits = compose_shapes(self.layers, self.input_shape)[-1][0]
+        if logits != num_classes:
+            raise LayerSpecError(f"stack emits {logits} logits but num_classes={num_classes}")
         self.num_classes = int(num_classes)
         self.model_id = model_id
-        self._adopt(_theta(self.layers, params))
+        self._adopt(_theta(self.layers, theta))
 
     def param_count(self) -> int:
         return self.theta.size
 
-    def with_params(self, new_params) -> "Model":
-        """This model with other parameters, given as the constructor takes
-        them. The layer stack and its shapes were checked when this model
-        was built and are immutable, so only the parameters are checked and
-        copied."""
-        return self._over(_theta(self.layers, new_params))
+    def with_params(self, theta: np.ndarray) -> "Model":
+        """This model over a copy of another parameter vector, checked as
+        the constructor checks it. The layer stack and its shapes were
+        checked when this model was built and are immutable."""
+        return self._over(_theta(self.layers, theta))
 
     def _over(self, theta: np.ndarray) -> "Model":
         """This model over ``theta``, taken as it is and made read-only."""
@@ -225,26 +222,15 @@ def param_views(layers: Sequence[LayerSpec], vector: np.ndarray) -> tuple:
     return tuple(groups)
 
 
-def _theta(layers: tuple, params) -> np.ndarray:
-    """A new float32 vector of ``params``, in declaration order.
-    LayerSpecError unless ``params`` is a 1-D array of one float per
-    parameter, or one group per layer with ``param_shapes`` shapes."""
-    if isinstance(params, np.ndarray):
-        size = theta_size(layers)
-        if params.shape != (size,):
-            raise LayerSpecError(f"parameter vector has shape {params.shape}, expected ({size},)")
-        return params.astype(np.float32)
-    if len(params) != len(layers):
-        raise LayerSpecError(f"{len(layers)} layers but {len(params)} parameter groups")
-    arrays = []
-    for layer, p in zip(layers, params):
-        group = tuple(np.asarray(a, dtype=np.float32) for a in p)
-        shapes, wanted = tuple(a.shape for a in group), param_shapes(layer)
-        if shapes != wanted:
-            raise LayerSpecError(f"{layer.kind} parameters have shapes {shapes}, "
-                                 f"expected {wanted}")
-        arrays.extend(a.reshape(-1) for a in group)
-    return np.concatenate([np.empty(0, np.float32), *arrays])
+def _theta(layers: tuple, theta) -> np.ndarray:
+    """A new float32 copy of ``theta``. LayerSpecError unless it is a NumPy
+    array of shape ``(theta_size(layers),)``: one float per parameter, in
+    declaration order."""
+    size = theta_size(layers)
+    if not isinstance(theta, np.ndarray) or theta.shape != (size,):
+        got = f"shape {theta.shape}" if isinstance(theta, np.ndarray) else type(theta).__name__
+        raise LayerSpecError(f"expected a parameter array of shape ({size},), got {got}")
+    return theta.astype(np.float32)
 
 
 def _working_model(model: Model) -> tuple:

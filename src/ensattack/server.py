@@ -267,13 +267,16 @@ class ServerHandle:
 def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
           budget: int | None = None) -> ServerHandle:
     """Starts the server on a background thread and returns a ServerHandle
-    whose .url is ready for connect(). ValueError for a mode other than
-    soft or hard, or a budget other than None or an int >= 0."""
+    whose .url is ready for connect(). ValueError, before binding, for a
+    mode other than soft or hard, a budget other than None or an int >= 0,
+    or a ``bind`` port other than an integer from 0 to 65535."""
     if mode not in ("soft", "hard"):
         raise ValueError(f"unknown mode {mode!r}")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
     host, _, port = bind.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"port must be an integer from 0 to 65535, got {port!r}")
     httpd = ThreadingHTTPServer((host or "127.0.0.1", int(port)), _Handler)
     httpd.daemon_threads = True
     httpd.model = model

@@ -18,6 +18,7 @@ Dataset file (magic ``BDS1``):
     u16le label followed by side*side little-endian float32 pixels.
 """
 
+import itertools
 import json
 import math
 import struct
@@ -165,15 +166,19 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
     The parameters live in one writable copy of ``model.theta`` for the
     whole call, and the passes run on one working model over a read-only
     view of it, built once (``nn._working_model``). Each step takes the
-    gradient as one vector laid out as theta, clips on the per-array
-    squared norms, in layer order, then updates the whole vector in place
-    with one elementwise expression, which gives each element the bits the
-    per-array update gave. The returned model holds a copy of the vector,
-    so it shares no memory with it."""
+    gradient as one vector laid out as theta and clips on the per-array
+    squared norms in declaration order, each summed over the array's slice
+    of that vector; the slices are fixed once per call, so a step cuts its
+    gradient only inside ``nn.backward``. It then updates the whole vector
+    in place with one elementwise expression, which gives each element the
+    bits the per-array update gave. The returned model holds a copy of the
+    vector, so it shares no memory with it."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     images = nn._check_input(model, dataset.images, batch=True)
     theta, work = nn._working_model(model)
+    bounds = [0, *itertools.accumulate(a.size for group in work.params for a in group)]
+    cuts = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
     lr = cfg.learning_rate
     decay = np.float32(lr * WEIGHT_DECAY)
     n = len(dataset)
@@ -188,8 +193,7 @@ def train(model: nn.Model, dataset: LabeledDataset, cfg: TrainConfig, record=Non
                 epoch_loss += loss
             _, dtheta = nn.backward(work, acts, g_logits, want_param_grads=True)
             inv = 1.0 / len(batch)
-            sq = sum(float((acc * acc).sum())
-                     for gi in nn.param_views(work.layers, dtheta) for acc in gi)
+            sq = sum(float((dtheta[cut] * dtheta[cut]).sum()) for cut in cuts)
             gnorm = np.sqrt(sq) * inv
             if gnorm > CLIP_NORM:
                 inv *= CLIP_NORM / gnorm
@@ -486,11 +490,15 @@ def train_zoo(zoo_dir, schedule: dict | None = None) -> dict:
     """Trains every model on the train split, records test accuracy in the
     manifest, and rewrites the weight files in place. ``schedule`` maps
     model id to its TrainConfig (TRAIN_SCHEDULE by default); ids it omits
-    train with DEFAULT_TRAIN."""
+    train with DEFAULT_TRAIN. FormatError, naming the manifest, unless its
+    ``seed``, which keys the training views, is a JSON integer."""
     import os
 
     schedule = TRAIN_SCHEDULE if schedule is None else schedule
     manifest, dataset, models = load_zoo(zoo_dir)
+    if type(manifest.get("seed")) is not int:
+        raise FormatError(f"manifest {os.path.join(zoo_dir, 'manifest.json')}: seed must be "
+                          f"an integer, got {manifest.get('seed')!r}")
     train_set = dataset.train_split()
     test_set = dataset.test_split()
     for entry in manifest["models"]:

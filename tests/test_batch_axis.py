@@ -2,6 +2,8 @@
 zoo.train and zoo.accuracy built on it: every item's result is bitwise
 its single-sample result, whatever batch it shares."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,22 @@ def test_train_builds_one_working_model_and_returns_a_frozen_copy(monkeypatch):
     assert _param_bits(again) == _param_bits(trained)
 
 
+def test_train_cuts_each_step_gradient_only_inside_backward(monkeypatch):
+    # the clip sums each array's slice of the gradient vector, fixed once
+    # per call, so zoo.train itself makes no nn.param_views call and each
+    # step's one cut is nn.backward's
+    mid, layers = DEFAULT_ARCHS[2]
+    model = zoo.build_model(layers, (1, SIDE, SIDE), CLASSES, SEED, mid)
+    view = zoo.model_view(_dataset().train_split(), mid, SEED)
+    callers = []
+    real = nn.param_views
+    monkeypatch.setattr(nn, "param_views",
+                        lambda *a: callers.append(sys._getframe(1).f_code.co_name) or real(*a))
+    zoo.train(model, view, zoo.TrainConfig(epochs=2))
+    steps = 2 * -(-len(view) // zoo.BATCH_SIZE)
+    assert "train" not in callers and callers.count("backward") == steps
+
+
 def _upstreams(n, seed):
     """Random rows, with all-+0.0 and all--0.0 rows among them."""
     u = stream(seed, "upstream").uniform((n, CLASSES), -1.0, 1.0).astype(np.float32)
@@ -143,8 +161,8 @@ def test_batched_accuracy_equals_per_sample_count(mid, layers):
 
 def test_batched_accuracy_breaks_ties_toward_the_lowest_class():
     ds = zoo.make_synthetic_dataset(4, 3, 6, 1)
-    flat = nn.Model([nn.Flatten(), nn.Dense(36, 4)],
-                    [(), (np.zeros((4, 36), np.float32), np.zeros(4, np.float32))], (1, 6, 6), 4)
+    flat = nn.Model([nn.Flatten(), nn.Dense(36, 4)], np.zeros(36 * 4 + 4, np.float32),
+                    (1, 6, 6), 4)
     # every logit ties, so every image is predicted class 0
     assert zoo.accuracy(flat, ds) == util.per_sample_accuracy(flat, ds) == 0.25
 

@@ -1,0 +1,130 @@
+"""tools/bench_pairs.py on fake result lines: the order it runs the sides
+in, its summary and verdicts, and what it writes. No benchmark runs here."""
+
+import importlib.util
+import json
+import signal
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+              {"name": "ok_frac", "unit": "frac", "better": "higher", "bound": 0.01}]
+
+
+def _result(**values):
+    return {"correct": True, "attempted": 1, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "x"} for name, v in values.items()}}
+
+
+def test_pairs_alternate_which_side_runs_first():
+    made = []
+    runs = bench_pairs.run_pairs(["w1", "w2"], 3, 100,
+                                 lambda side, w, seed: made.append((w, seed, side)) or (0, None))
+    assert made == [("w1", 100, "parent"), ("w1", 100, "change"),
+                    ("w1", 101, "change"), ("w1", 101, "parent"),
+                    ("w1", 102, "parent"), ("w1", 102, "change"),
+                    ("w2", 103, "parent"), ("w2", 103, "change"),
+                    ("w2", 104, "change"), ("w2", 104, "parent"),
+                    ("w2", 105, "parent"), ("w2", 105, "change")]
+    assert [r["run"] for r in runs] == list(range(1, 13))
+    assert [(r["workload"], r["seed"], r["side"]) for r in runs] == made
+    assert [r["pair"] for r in runs] == [0, 0, 1, 1, 2, 2] * 2
+
+
+def _runs(parent, change, metric="setup_s", workload="w"):
+    """Fake runs: pair i reads parent[i] and change[i]."""
+    runs = []
+    for i, (a, b) in enumerate(zip(parent, change)):
+        for side, v in zip(bench_pairs.pair_order(i), (a, b) if i % 2 == 0 else (b, a)):
+            runs.append({"run": len(runs) + 1, "side": side, "workload": workload, "seed": i,
+                         "pair": i, "returncode": 0, "result": _result(**{metric: v})})
+    return runs
+
+
+def test_summary_gives_medians_quartiles_and_lower_in_k_of_n():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [1.5, 1.0, 3.0, 3.0, 6.0]
+    s = bench_pairs.summarize(_runs(parent, change), END_TO_END)["w"]["setup_s"]
+    assert s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "min": 1.0, "max": 5.0, "n": 5}
+    assert s["change"]["median"] == 3.0
+    assert (s["pairs_change_lower"], s["pairs_change_higher"], s["pairs"]) == (2, 2, 5)
+    assert s["bound"] == 0.25 and s["better"] == "lower"
+    # ok_frac is in no run, so it has no line
+    assert list(bench_pairs.summarize(_runs(parent, change), END_TO_END)["w"]) == ["setup_s"]
+    [line] = bench_pairs.report({"w": {"setup_s": s}})
+    assert "parent 3 (q1 2, q3 4)" in line and "change 3" in line
+    assert "lower in 2 of 5" in line and line.endswith(s["verdict"])
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    ([10.0, 10.1, 10.2, 10.3], [10.0, 10.1, 10.2, 10.3], "lower", "ok"),
+    ([10.0, 10.1, 10.2, 10.3], [12.0, 12.4, 12.8, 13.0], "lower", "ok"),  # +22%, inside
+    ([10.0, 10.1, 10.2, 10.3], [13.0, 13.1, 13.2, 13.3], "lower", "worse"),  # +30%
+    # the parent's IQR is 40% of its median, wider than the bound
+    ([6.0, 8.0, 12.0, 14.0], [9.0, 9.5, 10.5, 11.0], "lower", "unresolved"),
+    ([6.0, 8.0, 12.0, 14.0], [20.0, 20.0, 20.0, 20.0], "lower", "unresolved"),
+    # ... unless every change run is better than every parent run
+    ([6.0, 8.0, 12.0, 14.0], [1.0, 2.0, 3.0, 5.0], "lower", "ok"),
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "higher", "ok"),
+    ([1.0, 1.0, 1.0, 1.0], [0.98, 0.98, 0.98, 0.98], "higher", "worse"),
+    ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], "lower", "ok"),
+])
+def test_verdicts_read_the_bound_against_the_parents_spread(parent, change, better, want):
+    bound = 0.25 if better == "lower" else 0.01
+    assert bench_pairs.verdict(parent, change, better, bound) == want
+
+
+def _fake_git(monkeypatch, calls):
+    """git answers every rev-parse with ``abc`` and all else with nothing,
+    and main installs no signal handler."""
+    monkeypatch.setattr(signal, "signal", lambda *a: None)
+    monkeypatch.setattr(bench_pairs, "_git",
+                        lambda *a, **k: calls.append(a) or ("abc" if a[0] == "rev-parse" else ""))
+
+
+def test_main_writes_every_run_and_removes_the_parent_tree(tmp_path, monkeypatch, capsys):
+    git_calls, trees = [], []
+    _fake_git(monkeypatch, git_calls)
+
+    def bench(tree, workload, seed, seconds):
+        trees.append(tree)
+        assert seconds == 10
+        value = 2.0 if tree == bench_pairs.ROOT else 1.0
+        return 0, _result(setup_s=value, ok_frac=1.0), {"python": "3", "workload": workload}
+
+    monkeypatch.setattr(bench_pairs, "_bench", bench)
+    out = tmp_path / "BENCH_x.json"
+    argv = ["--parent", "HEAD~1", "--workloads", "zoo-train", "--pairs", "2", "--seed", "7",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 1  # setup_s doubled on the change
+    parent_tree = trees[0]
+    assert trees == [parent_tree, bench_pairs.ROOT, bench_pairs.ROOT, parent_tree]
+    assert git_calls[1] == ("worktree", "add", "--detach", str(parent_tree), "abc")
+    assert git_calls[2] == ("worktree", "remove", "--force", str(parent_tree))
+    record = json.loads(out.read_text())
+    assert record["parent"] == "abc" and record["host"] == {"python": "3"}
+    assert [r["seed"] for r in record["runs"]] == [7, 7, 8, 8]
+    assert record["summary"]["zoo-train"]["setup_s"]["verdict"] == "worse"
+    assert record["summary"]["zoo-train"]["ok_frac"]["verdict"] == "ok"
+    assert "lower in 0 of 2  worse" in capsys.readouterr().out
+
+
+def test_main_removes_the_parent_tree_when_a_run_is_interrupted(tmp_path, monkeypatch):
+    git_calls = []
+    _fake_git(monkeypatch, git_calls)
+
+    def bench(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench_pairs, "_bench", bench)
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.main(["--parent", "HEAD", "--workloads", "zoo-train", "--seed", "1",
+                          "--out", str(tmp_path / "b.json")])
+    assert git_calls[-1][:3] == ("worktree", "remove", "--force")
+    assert not (tmp_path / "b.json").exists()

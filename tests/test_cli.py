@@ -254,8 +254,30 @@ def test_serve_missing_model_exit_2(tmp_path):
                  "--bind", "127.0.0.1:0"]) == 2
 
 
-def test_serve_a_negative_budget_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("bind, budget, word", [
+    ("127.0.0.1:0", "-1", "budget"),
+    ("127.0.0.1:99999", "none", "port"),  # bind() used to die with an OverflowError
+    ("127.0.0.1:-1", "none", "port"),
+], ids=["negative-budget", "port-99999", "port-minus-1"])
+def test_serve_a_bad_budget_or_port_exits_2(tmp_path, capsys, bind, budget, word):
     path = str(tmp_path / "m.bem")
     zoo.save_model(util.tiny_model(50, 0), path)
-    assert main(["serve", "--model", path, "--bind", "127.0.0.1:0", "--budget", "-1"]) == 2
-    assert "budget" in capsys.readouterr().err
+    assert main(["serve", "--model", path, "--bind", bind, "--budget", budget]) == 2
+    assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["missing", "7"])
+def test_zoo_train_a_manifest_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, seed):
+    d = str(tmp_path / "microzoo")
+    assert main(["zoo-build", d, "--classes", "2", "--per-class", "2", "--side", "8"]) == 0
+    path = os.path.join(d, "manifest.json")
+    manifest = zoo.load_manifest(path)
+    if seed == "missing":
+        del manifest["seed"]
+    else:
+        manifest["seed"] = seed
+    zoo.save_manifest(manifest, path)
+    capsys.readouterr()
+    assert main(["zoo-train", d]) == 2
+    err = capsys.readouterr().err
+    assert "manifest" in err and "seed" in err

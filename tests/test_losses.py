@@ -337,9 +337,9 @@ def _overflowing_model(seed):
     d = int(np.prod(util.TINY_SHAPE))
     s = stream(seed, "overflow")
     weight = (s.uniform((util.TINY_CLASSES, d), -1.0, 1.0) * np.float32(3e38)).astype(np.float32)
-    params = [(), (weight, np.zeros(util.TINY_CLASSES, np.float32))]
-    return nn.Model([nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)], params,
-                    util.TINY_SHAPE, util.TINY_CLASSES, f"overflow-{seed}")
+    layers = [nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)]
+    theta = util.theta_from_groups(layers, [(), (weight, np.zeros(util.TINY_CLASSES, np.float32))])
+    return nn.Model(layers, theta, util.TINY_SHAPE, util.TINY_CLASSES, f"overflow-{seed}")
 
 
 def _member(s, k):
@@ -417,7 +417,7 @@ def test_a_step_back_propagates_only_the_members_not_yet_fooled(fooled, monkeypa
 
 def test_a_member_without_parameters_is_never_skipped(monkeypatch):
     # relu and flatten pass a -0.0 upstream through, so its zero is not +0.0
-    bare = nn.Model([nn.Relu()], [()], (4,), 4, "bare")
+    bare = nn.Model([nn.Relu()], np.zeros(0, np.float32), (4,), 4, "bare")
     x = np.array([0.5, 0.1, 0.2, 0.3], np.float32)
     calls = _count_backwards(monkeypatch)
     g = losses.ensemble_input_gradient([bare], x, np.zeros_like(x), [-1.0], "weighted_loss",

@@ -9,8 +9,9 @@ from ensattack.errors import LayerSpecError, ShapeError
 
 
 def test_forward_identity_dense():
-    m = nn.Model([nn.Dense(2, 2)], [(np.eye(2, dtype=np.float32), np.zeros(2, np.float32))],
-                 (2,), 2)
+    layers = [nn.Dense(2, 2)]
+    theta = util.theta_from_groups(layers, [(np.eye(2, dtype=np.float32), np.zeros(2, np.float32))])
+    m = nn.Model(layers, theta, (2,), 2)
     assert np.array_equal(nn.forward(m, np.array([1.0, 2.0], np.float32)), [1.0, 2.0])
 
 
@@ -64,7 +65,8 @@ def test_softmax_sum_and_shift_invariance(grid, cgrid):
 
 def test_input_gradient_linear_case():
     w = np.arange(6, dtype=np.float32).reshape(3, 2) / 7
-    m = nn.Model([nn.Dense(2, 3)], [(w, np.zeros(3, np.float32))], (2,), 3)
+    layers = [nn.Dense(2, 3)]
+    m = nn.Model(layers, util.theta_from_groups(layers, [(w, np.zeros(3, np.float32))]), (2,), 3)
     u = np.array([1.0, -2.0, 0.5], np.float32)
     assert np.array_equal(util.input_gradient(m, np.array([0.3, 0.4], np.float32), u), w.T @ u)
 
@@ -75,16 +77,19 @@ def test_relu_dead_unit_zero_gradient():
     w1 = np.array([[1.0], [-1.0]], np.float32)
     b1 = np.array([-5.0, 0.0], np.float32)  # unit 0 dead for x in [0,1]
     w2 = np.array([[1.0, 0.0], [1.0, 0.0]], np.float32)  # reads only unit 0
-    m = nn.Model([nn.Dense(1, 2), nn.Relu(), nn.Dense(2, 2)],
-                 [(w1, b1), (), (w2, np.zeros(2, np.float32))], (1,), 2)
+    layers = [nn.Dense(1, 2), nn.Relu(), nn.Dense(2, 2)]
+    theta = util.theta_from_groups(layers, [(w1, b1), (), (w2, np.zeros(2, np.float32))])
+    m = nn.Model(layers, theta, (1,), 2)
     g = util.input_gradient(m, np.array([0.5], np.float32), np.ones(2, np.float32))
     assert np.array_equal(g, [0.0])
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    m = nn.Model([nn.Dense(1, 2), nn.Relu(), nn.Dense(2, 2)],
-                 [(np.zeros((2, 1), np.float32), np.zeros(2, np.float32)), (),
-                  (np.ones((2, 2), np.float32), np.zeros(2, np.float32))], (1,), 2)
+    layers = [nn.Dense(1, 2), nn.Relu(), nn.Dense(2, 2)]
+    theta = util.theta_from_groups(layers, [
+        (np.zeros((2, 1), np.float32), np.zeros(2, np.float32)), (),
+        (np.ones((2, 2), np.float32), np.zeros(2, np.float32))])
+    m = nn.Model(layers, theta, (1,), 2)
     g = util.input_gradient(m, np.array([0.7], np.float32), np.ones(2, np.float32))
     assert np.array_equal(g, [0.0])
 
@@ -124,7 +129,8 @@ def test_param_gradients_match_fd():
         arr = np.array(new[li][pi])
         arr.reshape(-1)[idx] = v
         new[li][pi] = arr
-        return float(np.sum(util.naive_forward(m.with_params(new), x)))
+        return float(np.sum(util.naive_forward(
+            m.with_params(util.theta_from_groups(m.layers, new)), x)))
 
     rng = np.random.default_rng(0)
     for li, group in enumerate(m.params):
@@ -220,7 +226,7 @@ def test_working_model_views_one_flat_vector():
     theta, work = nn._working_model(m)
     assert theta.dtype == np.float32 and theta.shape == (m.param_count(),)
     assert theta.flags.writeable and not np.shares_memory(theta, m.theta)
-    for name in ("layers", "input_shape", "shapes", "num_classes", "model_id"):
+    for name in ("layers", "input_shape", "num_classes", "model_id"):
         assert getattr(work, name) is getattr(m, name), name
     util.assert_views_of_theta(work)
     assert np.shares_memory(work.theta, theta) and _bits([work.theta]) == _bits([m.theta])
@@ -264,29 +270,25 @@ def test_layer_spec_composition_errors():
 
 def test_model_construction_errors():
     with pytest.raises(LayerSpecError):
-        nn.Model([nn.Flatten(), nn.Dense(4, 1)], [(), (np.zeros((1, 4), np.float32),
-                                                       np.zeros(1, np.float32))], (2, 2), 1)
+        nn.Model([nn.Flatten(), nn.Dense(4, 1)], np.zeros(4 + 1, np.float32), (2, 2), 1)
     with pytest.raises(LayerSpecError):  # logits disagree with num_classes
-        nn.Model([nn.Flatten(), nn.Dense(4, 3)], [(), (np.zeros((3, 4), np.float32),
-                                                       np.zeros(3, np.float32))], (2, 2), 5)
+        nn.Model([nn.Flatten(), nn.Dense(4, 3)], np.zeros(12 + 3, np.float32), (2, 2), 5)
 
 
 def test_model_params_frozen_and_copied():
-    src = np.zeros((util.TINY_CLASSES, 36), np.float32)
-    m = nn.Model([nn.Flatten(), nn.Dense(36, util.TINY_CLASSES)],
-                 [(), (src, np.zeros(util.TINY_CLASSES, np.float32))],
+    src = np.zeros(36 * util.TINY_CLASSES + util.TINY_CLASSES, np.float32)
+    m = nn.Model([nn.Flatten(), nn.Dense(36, util.TINY_CLASSES)], src,
                  util.TINY_SHAPE, util.TINY_CLASSES)
-    src[0, 0] = 99.0  # caller mutation must not leak in
+    src[0] = 99.0  # caller mutation must not leak in
     assert m.params[1][0][0, 0] == 0.0
     with pytest.raises(ValueError):
         m.params[1][0][0, 0] = 1.0
     with pytest.raises(ValueError):
         m.theta[0] = 1.0
     util.assert_views_of_theta(m)
-    # the vector form: a copy of it, not the caller's array
+    # a copy of the vector, not the caller's array
     vector = m.theta.copy()
-    for m2 in (m.with_params([list(g) for g in m.params]), m.with_params(vector),
-               nn.Model(m.layers, vector, m.input_shape, m.num_classes)):
+    for m2 in (m.with_params(vector), nn.Model(m.layers, vector, m.input_shape, m.num_classes)):
         util.assert_views_of_theta(m2)
         assert np.array_equal(m2.theta, m.theta) and not np.shares_memory(m2.theta, vector)
     assert m.param_count() == 36 * util.TINY_CLASSES + util.TINY_CLASSES
@@ -298,12 +300,14 @@ def test_with_params_keeps_the_checked_stack(monkeypatch):
     # float32 and frozen
     m = util.tiny_model(0, 2)
     monkeypatch.setattr(nn, "compose_shapes", lambda *a: pytest.fail("shapes composed again"))
-    new = [tuple(a.astype(np.float64) + 1.0 for a in group) for group in m.params]
+    new = m.theta.astype(np.float64) + 1.0
     m2 = m.with_params(new)
-    for name in ("layers", "input_shape", "shapes", "num_classes", "model_id"):
+    assert sorted(vars(m2)) == ["input_shape", "layers", "model_id", "num_classes", "params",
+                                "theta"]
+    for name in ("layers", "input_shape", "num_classes", "model_id"):
         assert getattr(m2, name) is getattr(m, name), name
     util.assert_views_of_theta(m2)
-    new[0][0][...] = 0.0  # caller mutation must not leak in
+    new[...] = 0.0  # caller mutation must not leak in
     assert np.array_equal(m2.theta, m.theta + np.float32(1.0))
 
 
@@ -311,22 +315,16 @@ def test_model_rejects_misshaped_params():
     layers = [nn.Flatten(), nn.Dense(36, util.TINY_CLASSES)]
     good = [(), (np.zeros((util.TINY_CLASSES, 36), np.float32),
                  np.zeros(util.TINY_CLASSES, np.float32))]
-    m = nn.Model(layers, good, util.TINY_SHAPE, util.TINY_CLASSES)
-    for bad in ([(), (np.zeros((36, util.TINY_CLASSES), np.float32), good[1][1])],
-                [(), (good[1][0], np.zeros(util.TINY_CLASSES + 1, np.float32))],
-                [(), (good[1][0],)],
-                [(np.zeros(1, np.float32),), good[1]],
-                [good[1]],
+    m = nn.Model(layers, util.theta_from_groups(layers, good), util.TINY_SHAPE, util.TINY_CLASSES)
+    for bad in (good,  # a list of groups, each well shaped
+                [a.reshape(-1) for group in good for a in group],  # a list of flat arrays
+                m.theta.tolist(),
                 np.zeros(36 * util.TINY_CLASSES, np.float32),  # a vector without the bias
                 np.zeros((1, 36 * util.TINY_CLASSES + util.TINY_CLASSES), np.float32)):
-        with pytest.raises(LayerSpecError, match="expected|groups"):
+        with pytest.raises(LayerSpecError, match="expected"):
             nn.Model(layers, bad, util.TINY_SHAPE, util.TINY_CLASSES)
-        with pytest.raises(LayerSpecError, match="expected|groups"):
+        with pytest.raises(LayerSpecError, match="expected"):
             m.with_params(bad)
-    conv = util.tiny_model(0, 2)
-    w, b = conv.params[0]
-    with pytest.raises(LayerSpecError, match="conv2d"):
-        conv.with_params([(w.transpose(1, 0, 2, 3), b)] + list(conv.params[1:]))
 
 
 def test_param_shapes():
@@ -368,8 +366,7 @@ def _negative_models():
     for layers in ([nn.Flatten(), nn.Dense(d, util.TINY_CLASSES)],
                    [nn.Conv2d(1, 3, 3, 1), nn.Relu(), nn.Flatten(), nn.Dense(48, util.TINY_CLASSES)]):
         m = zoo.build_model(layers, util.TINY_SHAPE, util.TINY_CLASSES, 5)
-        out.append(m.with_params([tuple(-np.abs(a) - np.float32(0.01) for a in group)
-                                  for group in m.params]))
+        out.append(m.with_params(-np.abs(m.theta) - np.float32(0.01)))
     return out
 
 

@@ -26,7 +26,7 @@ def test_hard_query_hides_logits():
 
 def test_hard_argmax_ties_break_low():
     m = util.const_model(util.TINY_SHAPE, 4, hot=3)
-    flat = m.with_params([(), (np.zeros((4, 36), np.float32), np.zeros(4, np.float32))])
+    flat = m.with_params(np.zeros(m.param_count(), np.float32))
     resp = oracle.LocalOracle(flat, "hard").query(util.rand_image(22))
     assert resp.label == 0
 

@@ -447,6 +447,14 @@ def test_serve_refuses_a_budget_that_is_not_a_count(budget):
         server.serve(util.tiny_model(50, 0), budget=budget)
 
 
+@pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", ":-1",
+                                  "127.0.0.1:x", "127.0.0.1:"])
+def test_serve_refuses_a_port_out_of_range(bind):
+    # ports past 65535 or below 0 died in bind() with a bare OverflowError
+    with pytest.raises(ValueError, match="port"):
+        server.serve(util.tiny_model(50, 0), bind=bind)
+
+
 def test_float32_round_trip_is_exact(soft_pair, connect):
     # logits travel as decimal text printed from float64; casting the parsed
     # doubles back to float32 must reproduce the server's float32 values

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -416,6 +417,25 @@ def test_model_view_properties():
     grey_hard = int(np.sum(va.images[0] == np.float32(0.5)))
     grey_soft = int(np.sum(zoo.model_view(ds, "mlp-b", 7).images[0] == np.float32(0.5)))
     assert grey_hard > grey_soft
+
+
+@pytest.mark.parametrize("seed", ["missing", None, "7", 7.9, True, [7]])
+def test_train_zoo_refuses_a_manifest_seed_that_is_not_an_integer(tmp_path, seed):
+    # "7", 7.9 and true used to train silently as seeds 7, 7 and 1
+    d = str(tmp_path)
+    zoo.build_zoo(d, num_classes=2, per_class=2, side=8)
+    path = os.path.join(d, "manifest.json")
+    manifest = zoo.load_manifest(path)
+    if seed == "missing":
+        del manifest["seed"]
+    else:
+        manifest["seed"] = seed
+    zoo.save_manifest(manifest, path)
+    names = ["manifest.json", *(e["file"] for e in manifest["models"])]
+    before = [(tmp_path / name).read_bytes() for name in names]
+    with pytest.raises(FormatError, match=re.escape(f"manifest {path}: seed")):
+        zoo.train_zoo(d)
+    assert [(tmp_path / name).read_bytes() for name in names] == before
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,20 @@ def input_gradient(model, x, upstream):
     return nn.backward(model, acts, upstream)[0]
 
 
+def theta_from_groups(layers, groups):
+    """The parameter vector of ``groups``, one group of arrays per layer,
+    each checked against nn.param_shapes and written through
+    nn.param_views: the per-layer spelling tests use, which nn.Model and
+    with_params do not take."""
+    assert len(groups) == len(layers)
+    theta = np.empty(nn.theta_size(layers), np.float32)
+    for layer, group, views in zip(layers, groups, nn.param_views(layers, theta)):
+        assert tuple(np.shape(a) for a in group) == nn.param_shapes(layer), layer
+        for view, a in zip(views, group):
+            view[...] = a
+    return theta
+
+
 def record_calls(monkeypatch, owner, name):
     """The argument tuples of every call of ``owner.<name>`` from now on."""
     calls = []
@@ -146,7 +160,7 @@ def per_sample_train(model, dataset, cfg, record=None):
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
-            work = model.with_params(params)
+            work = model.with_params(theta_from_groups(model.layers, params))
             grads = [tuple(np.zeros_like(a) for a in group) for group in params]
             for j in batch:
                 acts = nn._forward_saved(work, dataset.images[j])
@@ -172,7 +186,7 @@ def per_sample_train(model, dataset, cfg, record=None):
             raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
         if record is not None:
             record.append(mean_loss)
-    return model.with_params(params)
+    return model.with_params(theta_from_groups(model.layers, params))
 
 
 def assert_views_of_theta(model):
@@ -394,9 +408,9 @@ def const_model(input_shape=TINY_SHAPE, num_classes=TINY_CLASSES, hot=0):
     d = int(np.prod(input_shape))
     bias = np.zeros(num_classes, dtype=np.float32)
     bias[hot] = np.float32(1.0)
-    params = [(), (np.zeros((num_classes, d), dtype=np.float32), bias)]
-    return nn.Model([nn.Flatten(), nn.Dense(d, num_classes)], params,
-                    input_shape, num_classes, "const")
+    layers = [nn.Flatten(), nn.Dense(d, num_classes)]
+    theta = theta_from_groups(layers, [(), (np.zeros((num_classes, d), dtype=np.float32), bias)])
+    return nn.Model(layers, theta, input_shape, num_classes, "const")
 
 
 def rand_image(seed, shape=TINY_SHAPE, tag="image"):
