@@ -34,7 +34,10 @@ def _cmd_serve(args) -> None:
 
     model = zoo.load_model(args.model)
     budget = None if args.budget.lower() == "none" else int(args.budget)
-    handle = server.serve(model, mode=args.mode, bind=args.bind, budget=budget)
+    try:
+        handle = server.serve(model, mode=args.mode, bind=args.bind, budget=budget)
+    except OSError as exc:
+        raise ConfigError(f"cannot serve on {args.bind}: {exc}") from None
     print(f"serving {args.model} ({args.mode}) on {handle.url}", flush=True)
     try:
         while True:

@@ -21,6 +21,7 @@ Dataset file (magic ``BDS1``):
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -111,10 +112,11 @@ def make_synthetic_dataset(num_classes: int, per_class: int, side: int, seed: in
     """Class-conditioned smoothed patterns plus per-sample seeded noise.
 
     Sample index c*per_class + i holds the i-th sample of class c; the
-    train/test convention is parity of that index (even train, odd test).
+    train/test convention is parity of that index (even train, odd test),
+    so ``per_class`` must be at least 2 for both splits to hold every class.
     """
-    if num_classes < 2 or side < 4:
-        raise ValueError("need num_classes >= 2 and side >= 4")
+    if num_classes < 2 or per_class < 2 or side < 4:
+        raise ValueError("need num_classes >= 2, per_class >= 2 and side >= 4")
     images = np.empty((num_classes * per_class, 1, side, side), dtype=np.float32)
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     span = np.float32(TEMPLATE_HIGH - TEMPLATE_LOW)
@@ -139,7 +141,6 @@ def make_synthetic_dataset(num_classes: int, per_class: int, side: int, seed: in
 def build_model(layers, input_shape, num_classes: int, seed: int, model_id: str = "") -> nn.Model:
     """Seeded uniform fan-in init: weights U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     biases zero."""
-    nn.compose_shapes(layers, input_shape)
     theta = np.zeros(nn.theta_size(layers), np.float32)
     for idx, group in enumerate(nn.param_views(layers, theta)):
         if group:
@@ -223,8 +224,10 @@ _MAGIC_MODEL = b"BEM1"
 _MAGIC_DATA = b"BDS1"
 
 
-def save_model(model: nn.Model, path) -> None:
-    header = {
+def _spec(model: nn.Model) -> dict:
+    """A model file's JSON header: the stack, the class count and the id.
+    Every manifest entry holds these keys too."""
+    return {
         "spec": {
             "input_shape": list(model.input_shape),
             "layers": [nn.layer_to_dict(layer) for layer in model.layers],
@@ -232,7 +235,10 @@ def save_model(model: nn.Model, path) -> None:
         "num_classes": model.num_classes,
         "id": model.model_id,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def save_model(model: nn.Model, path) -> None:
+    blob = json.dumps(_spec(model), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC_MODEL)
         fh.write(struct.pack("<I", len(blob)))
@@ -336,33 +342,31 @@ def load_dataset(path) -> LabeledDataset:
 def default_zoo_specs(side: int, num_classes: int):
     """Architecture family: six surrogate candidates plus two held-out
     victims with deliberately different shapes. Returns [(id, layers)] with
-    surrogate ids first; ids starting with "victim-" are never surrogates."""
-    c = num_classes
+    surrogate ids first; ids starting with "victim-" are never surrogates.
 
-    def conv_out(h, k, s):
-        return (h - k) // s + 1
+    Each stack is its feature layers, a ``Flatten``, then dense layers of
+    the listed widths and ``num_classes``, with a ``Relu`` between them. The
+    first dense layer takes what ``nn.compose_shapes`` says the flattened
+    features hold, so a side too small for the conv layers (below 6) raises
+    LayerSpecError."""
+    def stack(features, *widths):
+        layers = [*features, nn.Flatten()]
+        (n,) = nn.compose_shapes(layers, (1, side, side))[-1]
+        for width in (*widths, num_classes):
+            layers += [nn.Dense(n, width), nn.Relu()]
+            n = width
+        return layers[:-1]
 
-    flat = side * side
-    a1 = conv_out(side, 3, 1)
-    b1 = conv_out(side, 3, 1)
-    b2 = conv_out(b1, 3, 2)
-    c1 = conv_out(side, 5, 2)
-    v1 = conv_out(side, 4, 1)
-    v2 = conv_out(v1, 3, 2)
+    conv, relu = nn.Conv2d, nn.Relu()
     return [
-        ("cnn-a", [nn.Conv2d(1, 8, 3, 1), nn.Relu(), nn.Flatten(), nn.Dense(8 * a1 * a1, c)]),
-        ("cnn-b", [nn.Conv2d(1, 6, 3, 1), nn.Relu(), nn.Conv2d(6, 10, 3, 2), nn.Relu(),
-                   nn.Flatten(), nn.Dense(10 * b2 * b2, c)]),
-        ("cnn-c", [nn.Conv2d(1, 10, 5, 2), nn.Relu(), nn.Flatten(),
-                   nn.Dense(10 * c1 * c1, 24), nn.Relu(), nn.Dense(24, c)]),
-        ("mlp-a", [nn.Flatten(), nn.Dense(flat, 48), nn.Relu(), nn.Dense(48, c)]),
-        ("mlp-b", [nn.Flatten(), nn.Dense(flat, 72), nn.Relu(), nn.Dense(72, 36), nn.Relu(),
-                   nn.Dense(36, c)]),
-        ("mlp-c", [nn.Flatten(), nn.Dense(flat, 30), nn.Relu(), nn.Dense(30, c)]),
-        ("victim-cnn", [nn.Conv2d(1, 7, 4, 1), nn.Relu(), nn.Conv2d(7, 7, 3, 2), nn.Relu(),
-                        nn.Flatten(), nn.Dense(7 * v2 * v2, c)]),
-        ("victim-mlp", [nn.Flatten(), nn.Dense(flat, 80), nn.Relu(), nn.Dense(80, 40), nn.Relu(),
-                        nn.Dense(40, c)]),
+        ("cnn-a", stack([conv(1, 8, 3, 1), relu])),
+        ("cnn-b", stack([conv(1, 6, 3, 1), relu, conv(6, 10, 3, 2), relu])),
+        ("cnn-c", stack([conv(1, 10, 5, 2), relu], 24)),
+        ("mlp-a", stack([], 48)),
+        ("mlp-b", stack([], 72, 36)),
+        ("mlp-c", stack([], 30)),
+        ("victim-cnn", stack([conv(1, 7, 4, 1), relu, conv(7, 7, 3, 2), relu])),
+        ("victim-mlp", stack([], 80, 40)),
     ]
 
 
@@ -371,15 +375,8 @@ def default_zoo_specs(side: int, num_classes: int):
 # because conv parameter gradients sum over all spatial positions.
 DEFAULT_TRAIN = TrainConfig(epochs=100, learning_rate=0.1)
 _SURROGATE_TRAIN = TrainConfig(epochs=250, learning_rate=0.05)
-TRAIN_SCHEDULE = {
-    "cnn-a": _SURROGATE_TRAIN,
-    "cnn-b": _SURROGATE_TRAIN,
-    "cnn-c": _SURROGATE_TRAIN,
-    "mlp-a": _SURROGATE_TRAIN,
-    "mlp-b": _SURROGATE_TRAIN,
-    "mlp-c": _SURROGATE_TRAIN,
-    "victim-cnn": TrainConfig(epochs=150, learning_rate=0.05),
-}
+TRAIN_SCHEDULE = {**dict.fromkeys(VIEW_BANDS, _SURROGATE_TRAIN),
+                  "victim-cnn": TrainConfig(epochs=150, learning_rate=0.05)}
 
 
 def model_view(dataset: LabeledDataset, model_id: str, seed: int) -> LabeledDataset:
@@ -443,8 +440,6 @@ def load_manifest(path) -> dict:
 
 def load_zoo(zoo_dir):
     """Returns (manifest, dataset, {model_id: Model}) for a built zoo dir."""
-    import os
-
     manifest = load_manifest(os.path.join(zoo_dir, "manifest.json"))
     dataset = load_dataset(os.path.join(zoo_dir, manifest["dataset"]))
     models = {}
@@ -455,26 +450,23 @@ def load_zoo(zoo_dir):
 
 def build_zoo(zoo_dir, num_classes: int = 8, per_class: int = 25, side: int = 12,
               seed: int = 7) -> dict:
-    """Creates dataset + untrained models + manifest under zoo_dir."""
-    import os
-
-    os.makedirs(os.path.join(zoo_dir, "models"), exist_ok=True)
+    """Creates dataset + untrained models + manifest under zoo_dir. The
+    stacks, the dataset and the models are all made before the directory
+    is, so sizes they refuse (LayerSpecError or ValueError: a side below 6
+    for the default family, fewer than 2 classes or 2 images per class)
+    leave nothing behind."""
+    specs = default_zoo_specs(side, num_classes)
     dataset = make_synthetic_dataset(num_classes, per_class, side, seed)
+    models = [build_model(layers, (1, side, side), num_classes, seed, model_id)
+              for model_id, layers in specs]
+    os.makedirs(os.path.join(zoo_dir, "models"), exist_ok=True)
     save_dataset(dataset, os.path.join(zoo_dir, "dataset.bds"))
     entries = []
-    for model_id, layers in default_zoo_specs(side, num_classes):
-        model = build_model(layers, (1, side, side), num_classes, seed, model_id)
-        rel = os.path.join("models", f"{model_id}.bem")
+    for model in models:
+        rel = os.path.join("models", f"{model.model_id}.bem")
         save_model(model, os.path.join(zoo_dir, rel))
-        entries.append({
-            "id": model_id,
-            "file": rel,
-            "spec": {"input_shape": [1, side, side],
-                     "layers": [nn.layer_to_dict(l) for l in layers]},
-            "num_classes": num_classes,
-            "param_count": model.param_count(),
-            "clean_accuracy": None,
-        })
+        entries.append({**_spec(model), "file": rel, "param_count": model.param_count(),
+                        "clean_accuracy": None})
     manifest = {
         "dataset": "dataset.bds",
         "num_classes": num_classes,
@@ -492,8 +484,6 @@ def train_zoo(zoo_dir, schedule: dict | None = None) -> dict:
     model id to its TrainConfig (TRAIN_SCHEDULE by default); ids it omits
     train with DEFAULT_TRAIN. FormatError, naming the manifest, unless its
     ``seed``, which keys the training views, is a JSON integer."""
-    import os
-
     schedule = TRAIN_SCHEDULE if schedule is None else schedule
     manifest, dataset, models = load_zoo(zoo_dir)
     if type(manifest.get("seed")) is not int:

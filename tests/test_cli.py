@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 
@@ -264,6 +265,34 @@ def test_serve_a_bad_budget_or_port_exits_2(tmp_path, capsys, bind, budget, word
     zoo.save_model(util.tiny_model(50, 0), path)
     assert main(["serve", "--model", path, "--bind", bind, "--budget", budget]) == 2
     assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bind", ["192.0.2.1:80", "in-use"],
+                         ids=["address-not-local", "port-in-use"])
+def test_serve_a_bind_failure_is_a_config_error(tmp_path, capsys, bind):
+    # both used to read "file error"; 192.0.2.1 is a documentation address
+    # that no interface holds, and being numeric it needs no name lookup
+    path = str(tmp_path / "m.bem")
+    zoo.save_model(util.tiny_model(50, 0), path)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        if bind == "in-use":
+            bind = f"127.0.0.1:{taken.getsockname()[1]}"
+        assert main(["serve", "--model", path, "--bind", bind]) == 2
+    assert f"config error: cannot serve on {bind}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, word", [
+    ("--side", "5", "conv2d kernel 3"),  # used to leave dataset.bds and models/ behind
+    ("--per-class", "0", "per_class"),  # used to build an empty dataset
+    ("--per-class", "1", "per_class"),  # used to split each class to one side
+], ids=["side-5", "per-class-0", "per-class-1"])
+def test_zoo_build_bad_sizes_exit_2_and_write_nothing(tmp_path, capsys, option, value, word):
+    d = tmp_path / "microzoo"
+    assert main(["zoo-build", str(d), option, value]) == 2
+    assert word in capsys.readouterr().err
+    assert not d.exists()
 
 
 @pytest.mark.parametrize("seed", ["missing", "7"])

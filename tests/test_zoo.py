@@ -47,8 +47,10 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         zoo.LabeledDataset(np.zeros((2, 1, 4, 4), np.float32),
                            np.array([0, 5], np.int64), 2, 4)
-    with pytest.raises(ValueError):
-        zoo.make_synthetic_dataset(1, 5, 8, 0)
+    # one class, then 0 and 1 per class: with 1, each class sat in one split only
+    for num_classes, per_class in [(1, 5), (2, 0), (2, 1)]:
+        with pytest.raises(ValueError):
+            zoo.make_synthetic_dataset(num_classes, per_class, 8, 0)
 
 
 def test_dataset_is_linearly_learnable(monkeypatch):
@@ -395,6 +397,20 @@ def test_default_zoo_diversity():
     counts = [zoo.build_model(layers, (1, 12, 12), 8, 0, sid).param_count()
               for sid, layers in specs]
     assert len(set(counts)) == len(counts)
+
+
+def test_default_zoo_stacks_at_side_12():
+    conv, relu, flat, dense = nn.Conv2d, nn.Relu(), nn.Flatten(), nn.Dense
+    assert zoo.default_zoo_specs(12, 8) == [
+        ("cnn-a", [conv(1, 8, 3, 1), relu, flat, dense(800, 8)]),
+        ("cnn-b", [conv(1, 6, 3, 1), relu, conv(6, 10, 3, 2), relu, flat, dense(160, 8)]),
+        ("cnn-c", [conv(1, 10, 5, 2), relu, flat, dense(160, 24), relu, dense(24, 8)]),
+        ("mlp-a", [flat, dense(144, 48), relu, dense(48, 8)]),
+        ("mlp-b", [flat, dense(144, 72), relu, dense(72, 36), relu, dense(36, 8)]),
+        ("mlp-c", [flat, dense(144, 30), relu, dense(30, 8)]),
+        ("victim-cnn", [conv(1, 7, 4, 1), relu, conv(7, 7, 3, 2), relu, flat, dense(112, 8)]),
+        ("victim-mlp", [flat, dense(144, 80), relu, dense(80, 40), relu, dense(40, 8)]),
+    ]
 
 
 def test_manifest_id_helpers():
