@@ -26,7 +26,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import CapabilityError, EnsAttackError, ProtocolError, TransportError
+from .errors import ProtocolError, TransportError
 from .oracle import Oracle, read_shape
 
 # longest reply body read; a soft reply takes about 26 bytes per class
@@ -79,10 +79,9 @@ def _round_trip(conn: http.client.HTTPConnection, method: str, path: str,
 
 
 class RemoteOracle(Oracle):
-    def __init__(self, url: str, num_classes: int, mode: str, input_shape: tuple,
+    def __init__(self, num_classes: int, mode: str, input_shape: tuple,
                  session: http.client.HTTPConnection, path_prefix: str):
         super().__init__(mode, num_classes)
-        self.url = url
         self.input_shape = input_shape
         self._session = session  # the one connection every fresh() copy shares
         self._predict_path = f"{path_prefix}/v1/predict"
@@ -123,7 +122,7 @@ class RemoteOracle(Oracle):
         return label, None
 
 
-def connect(url: str, require_mode: str | None = None, timeout: float = 10.0) -> RemoteOracle:
+def connect(url: str, timeout: float = 10.0) -> RemoteOracle:
     """Performs the /v1/meta handshake and returns a query-capable handle.
 
     ``url`` is http://host[:port] with an optional path prefix; ``timeout``
@@ -140,17 +139,17 @@ def connect(url: str, require_mode: str | None = None, timeout: float = 10.0) ->
         raise TransportError(f"cannot use victim URL {url!r}: {exc}") from None
     meta = _round_trip(conn, "GET", f"{parts.path}/v1/meta", None)
     try:
-        num_classes, mode, input_shape = _check_meta(meta, require_mode)
-    except EnsAttackError:
+        num_classes, mode, input_shape = _check_meta(meta)
+    except ProtocolError:
         conn.close()
         raise
-    return RemoteOracle(url, num_classes, mode, input_shape, conn, parts.path)
+    return RemoteOracle(num_classes, mode, input_shape, conn, parts.path)
 
 
-def _check_meta(meta, require_mode) -> tuple:
-    """(num_classes, mode, input_shape) from a /v1/meta payload, once the
-    server is one the caller can use. The class count and the shape entries
-    must be JSON integers: at least 2 classes, and every entry at least 1."""
+def _check_meta(meta) -> tuple:
+    """(num_classes, mode, input_shape) from a /v1/meta payload. The class
+    count and the shape entries must be JSON integers: at least 2 classes,
+    and every entry at least 1."""
     try:
         num_classes = meta["num_classes"]
         mode = meta["mode"]
@@ -162,6 +161,4 @@ def _check_meta(meta, require_mode) -> tuple:
         raise ProtocolError(f"malformed meta response: num_classes {num_classes!r}")
     if mode not in ("soft", "hard"):
         raise ProtocolError(f"unknown server mode {mode!r}")
-    if require_mode is not None and mode != require_mode:
-        raise CapabilityError(f"server mode is {mode!r} but {require_mode!r} is required")
     return num_classes, mode, input_shape

@@ -11,7 +11,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from . import zoo
 from .client import connect
 from .errors import ConfigError, FormatError
 from .losses import AttackGoal, LossKind
-from .oracle import LocalOracle
+from .oracle import LocalOracle, require_soft
 from .prng import stream
-from .search import SearchConfig, bases_attack, export_query_log_csv, score_victim
+from .search import AttackOutcome, SearchConfig, bases_attack, score_victim
 
 _GOAL_POLICIES = ("provided", "easiest", "hardest", "random")
 
@@ -77,9 +77,9 @@ class ExperimentConfig:
     allow_victim_overlap: bool = False
 
 
-_REQUIRED_KEYS = ("dataset", "zoo_manifest", "surrogate_ids", "victim",
-                  "goal_policy", "output_dir")
-_ALL_KEYS = _REQUIRED_KEYS + ("search", "pm", "seed", "max_images", "allow_victim_overlap")
+_ALL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                       if f.default is MISSING and f.default_factory is MISSING)
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
@@ -255,9 +255,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
     # TransportError's partial_log) hold that image's queries only; q_used is
     # the attack's own event count; the handle is closed when the run ends,
     # by an error too
-    victim = (LocalOracle(victim_model, "soft") if victim_model is not None
-              else connect(cfg.victim["url"], require_mode="soft"))
+    victim = LocalOracle(victim_model) if victim_model is not None else connect(cfg.victim["url"])
     try:
+        require_soft(victim)
         wrong = [sid for sid, m in zip(cfg.surrogate_ids, surrogates)
                  if m.num_classes != victim.num_classes]
         if wrong:
@@ -339,18 +339,32 @@ def _atomically(path):
 
 
 _LOG_NAME = re.compile(r"image_([0-9]+)\.csv")
-_DIGITS = re.compile(r"[0-9]+")
+_LOG_COLUMNS = ("query_index", "coordinate", "candidate_tag", "victim_loss", "success_flag")
+# the two columns a query log is read for; the others may be absent
+_INDEX, _FLAG = _LOG_COLUMNS[0], _LOG_COLUMNS[-1]
+
+
+def export_query_log_csv(outcome: AttackOutcome, path) -> None:
+    """One row per victim query, with the columns of _LOG_COLUMNS (success
+    as 1/0)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_LOG_COLUMNS)
+        for ev in outcome.events:
+            writer.writerow([ev.query_index, ev.coordinate, ev.candidate_tag,
+                             repr(ev.victim_loss), int(ev.success_flag)])
 
 
 def records_from_csv_dir(log_dir: str):
     """Rebuilds (index, success, q_used) per image from the per-image query
     CSVs, in image order; used to cross-check summary.json against raw
-    artifacts. ``index`` is the integer in the file name. A file with a
-    header and no rows is skipped. FormatError, naming the file, for a
-    ``.csv`` not named ``image_<digits>.csv`` (or naming an index twice), a
-    file that is not UTF-8 CSV, a missing query_index or success_flag
-    column, a query_index that is not 1-18 decimal digits, or a
-    success_flag other than 0 or 1."""
+    artifacts. ``index`` is the integer in the file name, ``q_used`` the
+    row count and ``success`` the last row's flag. A file with a header and
+    no rows is skipped. FormatError, naming the file, for a ``.csv`` not
+    named ``image_<digits>.csv`` (or naming an index twice), a file that is
+    not UTF-8 CSV or has no query_index or success_flag column, and, naming
+    the line too, a row k whose query_index is not ``k``, a success_flag
+    other than 0 or 1, or a row after one whose flag is 1."""
     logs = {}
     for name in os.listdir(log_dir):
         if not name.endswith(".csv"):
@@ -364,38 +378,34 @@ def records_from_csv_dir(log_dir: str):
         logs[index] = name
     records = []
     for index in sorted(logs):
-        rows = _read_query_log(os.path.join(log_dir, logs[index]), logs[index])
-        if rows:
-            records.append({
-                "index": index,
-                "success": any(flag for _, flag in rows),
-                "q_used": max(q for q, _ in rows),
-            })
+        flags = _read_query_log(os.path.join(log_dir, logs[index]), logs[index])
+        if flags:
+            records.append({"index": index, "success": flags[-1], "q_used": len(flags)})
     return records
 
 
 def _read_query_log(path, name) -> list:
-    """(query_index, success) per row of one query-log CSV."""
-    rows = []
+    """The success flag of each row of one query-log CSV, in row order."""
+    flags = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            missing = [c for c in ("query_index", "success_flag")
-                       if c not in (reader.fieldnames or ())]
+            missing = [c for c in (_INDEX, _FLAG) if c not in (reader.fieldnames or ())]
             if missing:
                 raise FormatError(f"{name}: no {' or '.join(missing)} column")
             for row in reader:
-                q, flag = row["query_index"], row["success_flag"]
-                if q is None or not _DIGITS.fullmatch(q) or len(q) > 18:
-                    raise FormatError(f"{name} line {reader.line_num}: "
-                                      f"query_index {q!r} is not an integer of 1-18 digits")
+                where = f"{name} line {reader.line_num}"
+                if flags and flags[-1]:
+                    raise FormatError(f"{where}: a query after the successful one")
+                q, flag = row[_INDEX], row[_FLAG]
+                if q != str(len(flags) + 1):
+                    raise FormatError(f"{where}: query_index {q!r} is not {len(flags) + 1}")
                 if flag not in ("0", "1"):
-                    raise FormatError(f"{name} line {reader.line_num}: "
-                                      f"success_flag {flag!r} is not 0 or 1")
-                rows.append((int(q), flag == "1"))
+                    raise FormatError(f"{where}: success_flag {flag!r} is not 0 or 1")
+                flags.append(flag == "1")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{name}: {exc}") from None
-    return rows
+    return flags
 
 
 def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: int,

@@ -9,7 +9,6 @@ replaces queries with a finite-difference weight gradient, and a hard-label
 variant that replays a pre-built query set against a label-only oracle.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,10 @@ class SearchConfig:
             raise ValueError(f"unknown select_rule {self.select_rule!r}")
 
     def resolved_eta(self, n: int) -> float:
+        """The coordinate step for ``n`` surrogates; every pathway asks for
+        it before its first PM run, so an empty ensemble is refused here."""
+        if n < 1:
+            raise ValueError("need at least one surrogate")
         return self.eta if self.eta is not None else 1.0 / (10.0 * n)
 
 
@@ -176,8 +179,6 @@ def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> 
     """
     require_soft(oracle)
     x = np.asarray(x, dtype=np.float32)
-    if len(surrogates) < 1:
-        raise ValueError("need at least one surrogate")
     events = []
 
     def ask(delta, x_star, coordinate, tag):
@@ -282,14 +283,3 @@ def hardlabel_attack(x, goal: AttackGoal, queryset, hard_oracle) -> AttackOutcom
     last = queryset[-1] if queryset else np.zeros_like(x)
     return AttackOutcome(False, last, len(queryset), None, events, [])
 
-
-def export_query_log_csv(outcome: AttackOutcome, path) -> None:
-    """One row per victim query: query_index, coordinate, candidate_tag,
-    victim_loss, success_flag (success as 1/0)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_index", "coordinate", "candidate_tag",
-                         "victim_loss", "success_flag"])
-        for ev in outcome.events:
-            writer.writerow([ev.query_index, ev.coordinate, ev.candidate_tag,
-                             repr(ev.victim_loss), int(ev.success_flag)])

@@ -241,35 +241,45 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, {"label": int(np.argmax(z))})
 
 
-class ServerHandle:
-    def __init__(self, httpd: ThreadingHTTPServer, thread: threading.Thread):
-        self._httpd = httpd
-        self._thread = thread
-        host, port = httpd.server_address[:2]
-        self.url = f"http://{host}:{port}"
+class _Server(ThreadingHTTPServer):
+    """One model served on a background thread; ``url`` is ready for
+    connect() once serve() returns it. ``close()``, or leaving a ``with``
+    block, stops the serve loop and closes the socket."""
 
-    @property
-    def request_count(self) -> int:
-        return self._httpd.request_count
+    daemon_threads = True
+
+    def __init__(self, address, model: nn.Model, mode: str, budget: int | None):
+        super().__init__(address, _Handler)
+        self.model = model
+        self.mode = mode
+        self.budget = budget
+        self.max_body = _max_body(model.input_shape)
+        self.lock = threading.Lock()  # guards the four counters below
+        self.budget_used = {}  # predict queries charged per client address
+        self.request_count = 0
+        self.statuses = collections.Counter()
+        self.handle_ms = collections.deque(maxlen=HANDLE_WINDOW)
+        self.url = "http://{}:{}".format(*self.server_address[:2])
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True)
+        self._thread.start()
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        self.shutdown()
         self._thread.join()
-        self._httpd.server_close()
-
-    def __enter__(self):
-        return self
+        self.server_close()
 
     def __exit__(self, *exc):
         self.close()
 
 
 def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
-          budget: int | None = None) -> ServerHandle:
-    """Starts the server on a background thread and returns a ServerHandle
-    whose .url is ready for connect(). ValueError, before binding, for a
-    mode other than soft or hard, a budget other than None or an int >= 0,
-    or a ``bind`` port other than an integer from 0 to 65535."""
+          budget: int | None = None) -> _Server:
+    """Starts the server on a background thread and returns it, with its
+    .url ready for connect() and its .request_count of handled requests.
+    ValueError, before binding, for a mode other than soft or hard, a
+    budget other than None or an int >= 0, or a ``bind`` port other than an
+    integer from 0 to 65535."""
     if mode not in ("soft", "hard"):
         raise ValueError(f"unknown mode {mode!r}")
     if budget is not None and (type(budget) is not int or budget < 0):
@@ -277,18 +287,4 @@ def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
     host, _, port = bind.rpartition(":")
     if not (port.isascii() and port.isdigit() and int(port) <= 65535):
         raise ValueError(f"port must be an integer from 0 to 65535, got {port!r}")
-    httpd = ThreadingHTTPServer((host or "127.0.0.1", int(port)), _Handler)
-    httpd.daemon_threads = True
-    httpd.model = model
-    httpd.mode = mode
-    httpd.budget = budget
-    httpd.max_body = _max_body(model.input_shape)
-    httpd.lock = threading.Lock()  # guards the four counters below
-    httpd.budget_used = {}  # predict queries charged per client address
-    httpd.request_count = 0
-    httpd.statuses = collections.Counter()
-    httpd.handle_ms = collections.deque(maxlen=HANDLE_WINDOW)
-    thread = threading.Thread(target=httpd.serve_forever,
-                              kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True)
-    thread.start()
-    return ServerHandle(httpd, thread)
+    return _Server((host or "127.0.0.1", int(port)), model, mode, budget)

@@ -270,7 +270,7 @@ def test_criterion_09_remote_local_trajectory_parity(zoo_bundle, report):
     cases = _goal_cases(models, "victim-cnn", test, limit=50)
     mismatches = 0
     with server.serve(victim, mode="soft") as handle:
-        remote = client.connect(handle.url, require_mode="soft")
+        remote = client.connect(handle.url)
         for _, x, goal in cases:
             cfg = _search_cfg()
             local_out = search.bases_attack(x, goal, LocalOracle(victim), surrogates, cfg)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import util
-from ensattack import client, nn, zoo
+from ensattack import client, nn, server, zoo
 from ensattack.cli import main
 from ensattack.errors import FormatError, TransportError
 
@@ -173,6 +173,20 @@ def test_attack_transport_error_exit_3(zoo_dir, tmp_path, capsys):
     assert "transport error" in capsys.readouterr().err
 
 
+def test_attack_against_a_hard_label_server_exits_2_after_the_handshake(zoo_dir, tmp_path,
+                                                                         capsys):
+    model = zoo.load_model(os.path.join(zoo_dir, "models", "victim-mlp.bem"))
+    out = tmp_path / "hard"
+    cfg = tmp_path / "hard.json"
+    with server.serve(model, mode="hard") as handle:
+        cfg.write_text(json.dumps(_attack_config(zoo_dir, str(out), victim={"url": handle.url})))
+        assert main(["attack", str(cfg)]) == 2
+        assert handle.request_count == 1  # the /v1/meta handshake alone
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "soft" in err  # a CapabilityError
+    assert not out.exists()
+
+
 def test_summarize_empty_dir_exit_2(tmp_path):
     empty = tmp_path / "logs"
     empty.mkdir()
@@ -183,7 +197,7 @@ def test_summarize_empty_dir_exit_2(tmp_path):
 @pytest.mark.parametrize("max_queries, rows, message", [
     ("-5", "1,0\n", "max_queries must be an integer >= 1"),
     ("0", "1,0\n", "max_queries must be an integer >= 1"),
-    ("5", "1,0\n9,0\n", "image 3 used 9 queries"),
+    ("5", "".join(f"{k},0\n" for k in range(1, 10)), "image 3 used 9 queries"),
 ])
 def test_summarize_a_bad_budget_or_an_overspent_log_exits_2(tmp_path, capsys, max_queries,
                                                             rows, message):
@@ -236,7 +250,7 @@ def test_serve_verb_subprocess(zoo_dir):
         line = proc.stdout.readline().strip()
         assert line.startswith(f"serving {model_path} (soft) on http://")
         url = line.split(" on ")[-1]
-        orc = client.connect(url, require_mode="soft")
+        orc = client.connect(url)
         model = zoo.load_model(model_path)
         assert orc.num_classes == model.num_classes
         x = util.rand_image(0, shape=model.input_shape)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import client, harness, nn, pm, server, zoo
+from ensattack import client, harness, nn, pm, search, server, zoo
 from ensattack.errors import ConfigError, FormatError
 from ensattack.prng import stream
 
@@ -327,6 +328,31 @@ def test_artifacts_are_written_whole_or_not_at_all(tmp_path):
     assert (tmp_path / "summary.json").read_text(encoding="utf-8") == "{}\n"
 
 
+def test_export_query_log_csv(tmp_path):
+    surrogates = [util.tiny_model(70 + j, j) for j in range(3)]
+    cfg = search.SearchConfig(pm=pm.PMConfig(budget=pm.Budget("linf", 0.12), steps=3),
+                              max_queries=9)
+    out = search.bases_attack(util.rand_image(70), util.targeted(1),
+                              util.ScriptedOracle(util.TINY_CLASSES, 5), surrogates, cfg)
+    path = tmp_path / "image_0006.csv"
+    harness.export_query_log_csv(out, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["query_index", "coordinate", "candidate_tag",
+                       "victim_loss", "success_flag"]
+    body = rows[1:]
+    assert len(body) == out.q_used
+    assert [int(r[0]) for r in body] == list(range(1, 6))
+    for r, ev in zip(body, out.events):
+        assert int(r[1]) == ev.coordinate
+        assert r[2] == ev.candidate_tag
+        assert float(r[3]) == ev.victim_loss
+        assert r[4] == str(int(ev.success_flag))
+    assert body[-1][4] == "1" and all(r[4] == "0" for r in body[:-1])
+    assert harness.records_from_csv_dir(str(tmp_path)) == \
+        [{"index": 6, "success": True, "q_used": 5}]
+
+
 def test_a_query_log_cut_off_mid_write_leaves_no_file(zoo_dir, tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     real = harness.export_query_log_csv
@@ -379,9 +405,14 @@ def test_records_from_csv_dir_reads_the_index_from_the_name(tmp_path):
     ("image_0001.csv", ("1,0,plus,0.5,2",), None),
     ("image_0001.csv", ("1,0,plus,0.5,true",), None),
     ("image_0001.csv", ("1,0,plus",), None),
+    ("image_0001.csv", ("0,-1,init,1.0,1",), None),
+    ("image_0001.csv", ("1,0,plus,0.5,0", "3,1,minus,0.1,0", "2,1,plus,0.1,1"), None),
+    ("image_0001.csv", ("1,0,plus,0.5,0", "1,1,minus,0.1,1"), None),
+    ("image_0001.csv", ("1,0,plus,0.5,1", "2,1,minus,0.1,0"), None),
 ], ids=["name", "name-letters", "name-non-ascii-digit", "no-flag-column", "no-index-column",
         "empty", "index-text", "index-negative", "index-float", "index-huge", "flag-2",
-        "flag-word", "short-row"])
+        "flag-word", "short-row", "index-zero", "index-out-of-order", "index-repeated",
+        "success-before-last"])
 def test_records_from_csv_dir_rejects_a_bad_log_naming_it(tmp_path, name, rows, header):
     logs = tmp_path / "logs"
     _write_log(logs, "image_0000.csv")

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -155,10 +154,18 @@ def test_hard_oracle_rejected_before_any_query():
     assert victim.count == 0
 
 
-def test_empty_surrogate_list_rejected():
-    with pytest.raises(ValueError):
-        search.bases_attack(util.rand_image(73), util.targeted(0),
-                            util.ScriptedOracle(4), [], _cfg())
+@pytest.mark.parametrize("pathway", [
+    lambda x, goal, victim, cfg: search.bases_attack(x, goal, util.ScriptedOracle(4), [], cfg),
+    lambda x, goal, victim, cfg: search.hardlabel_queryset(x, goal, victim, [], cfg),
+    lambda x, goal, victim, cfg: search.whitebox_weight_attack(x, goal, victim, [], cfg),
+    lambda x, goal, victim, cfg: search.estimate_weight_gradient(
+        x, goal, victim, [], np.zeros(0), np.zeros_like(x), cfg),
+], ids=["bases_attack", "hardlabel_queryset", "whitebox_weight_attack",
+        "estimate_weight_gradient"])
+def test_empty_surrogate_list_rejected(pathway):
+    # all but bases_attack used to divide by zero, an explicit eta included
+    with pytest.raises(ValueError, match="need at least one surrogate"):
+        pathway(util.rand_image(73), util.targeted(0), util.tiny_model(73, 0), _cfg(eta=0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +375,3 @@ def test_hardlabel_attack_stops_mid_set():
     assert out.success and out.q_used == 3 and orc.count == 3
     assert np.array_equal(out.delta, qs[2])
 
-
-# ---------------------------------------------------------------------------
-# query log export
-
-def test_export_query_log_csv(tmp_path):
-    out, _ = _scripted_run(succeed_at=5, max_queries=9)
-    path = tmp_path / "log.csv"
-    search.export_query_log_csv(out, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["query_index", "coordinate", "candidate_tag",
-                       "victim_loss", "success_flag"]
-    body = rows[1:]
-    assert len(body) == out.q_used
-    assert [int(r[0]) for r in body] == list(range(1, 6))
-    for r, ev in zip(body, out.events):
-        assert int(r[1]) == ev.coordinate
-        assert r[2] == ev.candidate_tag
-        assert float(r[3]) == ev.victim_loss
-        assert r[4] == str(int(ev.success_flag))
-    assert body[-1][4] == "1" and all(r[4] == "0" for r in body[:-1])

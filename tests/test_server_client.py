@@ -344,9 +344,10 @@ def test_connect_refuses_an_unusable_url(url):
 def test_capability_and_config_checks(connect):
     model = util.tiny_model(47, 2)
     with server.serve(model, mode="hard") as handle:
-        connect(handle.url, require_mode="hard")
+        orc = connect(handle.url)
+        assert orc.mode == "hard"
         with pytest.raises(CapabilityError):
-            client.connect(handle.url, require_mode="soft")
+            oracle.require_soft(orc)
 
 
 class _RogueHandler(BaseHTTPRequestHandler):
