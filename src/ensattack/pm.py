@@ -110,6 +110,14 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
     with x_star = x + delta. ValueError if x or delta_init is not finite;
     before any forward runs, EnsembleArityError unless losses.check_weights
     accepts w, and ShapeError unless every model takes x's shape.
+
+    A step is a deterministic function of delta, and project is bitwise
+    idempotent, so once a step gives back delta with the same bits every
+    later step would give it again: the loop stops taking gradients there
+    and calls on_step with that delta for the steps left. The result is
+    bitwise that of all T steps. Bit equality, not a zero gradient, is the
+    test: a nonzero gradient whose step the projection undoes is a fixed
+    point too.
     """
     x = np.asarray(x, dtype=np.float32)
     delta_init = np.asarray(delta_init, dtype=np.float32)
@@ -120,9 +128,14 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
         raise ValueError("pm_run delta_init has entries that are not finite")
     lam = np.float32(cfg.resolved_step())
     delta = project(delta_init, x, cfg.budget)
+    moving = True
     for t in range(cfg.steps):
-        g = ensemble_input_gradient(models, x, delta, w, cfg.fusion, cfg.loss, goal)
-        delta = project(delta - lam * np.sign(g), x, cfg.budget)
+        if moving:
+            g = ensemble_input_gradient(models, x, delta, w, cfg.fusion, cfg.loss, goal)
+            step = project(delta - lam * np.sign(g), x, cfg.budget)
+            # bytes differ at once on a step that moves delta, so this stays cheap
+            moving = step.tobytes() != delta.tobytes()
+            delta = step
         if on_step is not None:
             on_step(t, delta)
     return delta, x + delta

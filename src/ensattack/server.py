@@ -89,7 +89,19 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
+    def handle_one_request(self):
+        # a client that hangs up or resets the connection, before a reply is
+        # written or while the next request line is awaited, ends it quietly
+        # instead of through socketserver's traceback on stderr
+        try:
+            super().handle_one_request()
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+
     def _send(self, status: int, payload: dict) -> None:
+        """Counts the reply in /v1/metrics, then writes it. A reply whose
+        write fails because the client hung up or reset the connection
+        stays counted (handle_one_request closes the connection)."""
         body = json.dumps(payload).encode("utf-8")
         # recorded before the reply goes out, so a client never sees a reply
         # that /v1/metrics does not count yet

@@ -30,7 +30,7 @@ import numpy as np
 from . import nn
 from .errors import FormatError, LayerSpecError, TrainingDivergedError
 from .losses import cross_entropy
-from .prng import stream
+from .prng import draws, stream, uniform_from_bits
 
 # Class templates live in this pixel band; per-sample noise is uniform in
 # +/- NOISE_AMP. Each image also leans toward one other class template by a
@@ -117,24 +117,25 @@ def make_synthetic_dataset(num_classes: int, per_class: int, side: int, seed: in
     """
     if num_classes < 2 or per_class < 2 or side < 4:
         raise ValueError("need num_classes >= 2, per_class >= 2 and side >= 4")
-    images = np.empty((num_classes * per_class, 1, side, side), dtype=np.float32)
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
     span = np.float32(TEMPLATE_HIGH - TEMPLATE_LOW)
-    templates = []
-    for c in range(num_classes):
-        grid = stream(seed, f"template/{c}").uniform((TEMPLATE_GRID, TEMPLATE_GRID))
-        templates.append(TEMPLATE_LOW + span * _bilinear_upsample(grid, side))
-    for c in range(num_classes):
-        for i in range(per_class):
-            s = stream(seed, f"noise/{c}/{i}")
-            other = int(s.integer(num_classes - 1))
-            other += other >= c
-            # mix < 0.5, so the nearest template (the label) stays c
-            mix = np.float32(MIX_MAX * float(s.uniform((), 0.0, 1.0)) ** MIX_POWER)
-            base = (1 - mix) * templates[c] + mix * templates[other]
-            noise = s.uniform((side, side), -NOISE_AMP, NOISE_AMP)
-            images[c * per_class + i, 0] = np.clip(base + noise, 0.0, 1.0).astype(np.float32)
-            labels[c * per_class + i] = c
+    templates = np.stack([
+        TEMPLATE_LOW + span * _bilinear_upsample(
+            stream(seed, f"template/{c}").uniform((TEMPLATE_GRID, TEMPLATE_GRID)), side)
+        for c in range(num_classes)])
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    # sample c*per_class + i draws from stream noise/{c}/{i}: first the other
+    # class (Stream.integer's rule), then the mixing weight, then the noise
+    bits = draws(seed, [f"noise/{c}/{i}" for c in range(num_classes) for i in range(per_class)],
+                 2 + side * side)
+    other = (bits[:, 0] % np.uint64(num_classes - 1)).astype(np.int64)
+    other += other >= labels
+    # mix < 0.5, so the nearest template (the label) stays c; the power is
+    # libm's, one Python float per sample, which NumPy's SIMD power may not match
+    mix = np.array([MIX_MAX * u ** MIX_POWER for u in uniform_from_bits(bits[:, 1]).tolist()],
+                   dtype=np.float32)[:, None, None]
+    base = (1 - mix) * templates[labels] + mix * templates[other]
+    noise = uniform_from_bits(bits[:, 2:], -NOISE_AMP, NOISE_AMP).reshape(-1, side, side)
+    images = np.clip(base + noise, 0.0, 1.0)[:, None]
     return LabeledDataset(images, labels, num_classes, side)
 
 

@@ -145,6 +145,59 @@ def test_pm_run_on_step_sequence():
     assert seen == [0, 1, 2, 3, 4]
 
 
+def _run_recorded(monkeypatch, model, x, goal, init, cfg):
+    """pm_run on one model: (delta, gradient calls, bytes of each step's delta)."""
+    grads = util.record_calls(monkeypatch, pm, "ensemble_input_gradient")
+    seen = []
+    d, x_star = pm.pm_run(x, goal, [model], [1.0], init, cfg,
+                          on_step=lambda t, dd: seen.append((t, dd.tobytes())))
+    assert [t for t, _ in seen] == list(range(cfg.steps))
+    assert x_star.tobytes() == (x + d).tobytes()
+    return d, len(grads), [b for _, b in seen]
+
+
+def test_pm_run_stops_taking_gradients_at_a_fixed_point(monkeypatch):
+    # the warm start already fools the model, so the cw_margin gradient is
+    # zero and the first step gives delta back
+    m = util.tiny_model(20, 2)
+    x = util.rand_image(20)
+    cfg = _cfg(steps=6)
+    init = (util.rand_image(21) - np.float32(0.5)) * np.float32(0.1)
+    goal = util.targeted(int(np.argmax(nn.forward(m, x + pm.project(init, x, cfg.budget)))))
+    d, grads, seen = _run_recorded(monkeypatch, m, x, goal, init, cfg)
+    ref = util.plain_pgd(m, x, goal, "linf", 0.12, 6, cfg.resolved_step(), init)
+    assert d.tobytes() == ref.tobytes()
+    assert grads == 1 and set(seen) == {d.tobytes()}
+
+
+def test_pm_run_a_saturated_step_is_a_fixed_point_too(monkeypatch):
+    # a two-class linear model under a margin it never reaches has one
+    # nonzero input gradient everywhere; a step of twice eps saturates
+    # delta at once, and the second step gives it back
+    layers = [nn.Flatten(), nn.Dense(36, 2)]
+    w = stream(22, "w").uniform((2, 36), -1.0, 1.0)
+    model = nn.Model(layers, util.theta_from_groups(layers, [(), (w, np.zeros(2, np.float32))]),
+                     util.TINY_SHAPE, 2, "linear")
+    x = util.rand_image(22)
+    cfg = _cfg(steps=5, step_size=0.24, loss=LossKind(kappa=1e3))
+    goal = util.targeted(0)
+    d, grads, seen = _run_recorded(monkeypatch, model, x, goal, np.zeros_like(x), cfg)
+    ref = util.plain_pgd(model, x, goal, "linf", 0.12, 5, 0.24, np.zeros_like(x), kappa=1e3)
+    assert d.tobytes() == ref.tobytes()
+    assert grads == 2 and len(set(seen)) == 1 and d.any()
+
+
+def test_pm_run_takes_every_gradient_while_delta_moves(monkeypatch):
+    m = util.tiny_model(8, 3)
+    x = util.rand_image(8)
+    cfg = _cfg(steps=5, step_size=0.005)
+    goal = util.targeted(int(np.argmin(nn.forward(m, x))))
+    d, grads, seen = _run_recorded(monkeypatch, m, x, goal, np.zeros_like(x), cfg)
+    ref = util.plain_pgd(m, x, goal, "linf", 0.12, 5, 0.005, np.zeros_like(x))
+    assert d.tobytes() == ref.tobytes()
+    assert grads == 5 and len(set(seen)) == 5
+
+
 def test_pm_run_weight_arity_error():
     # the same error ensemble_input_gradient and ensemble_loss raise
     m = util.tiny_model(0, 0)

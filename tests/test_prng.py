@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensattack.prng import Stream, stream
+from ensattack.prng import Stream, draws, stream, uniform_from_bits
 
 
 def test_stream_deterministic():
@@ -58,3 +58,36 @@ def test_permutation_varies_with_seed():
 
 def test_stream_class_direct():
     assert isinstance(stream(1, "t"), Stream)
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**64 - 2, 2**64 + 2),
+                   st.integers(2**64, 2**80))
+
+
+@given(_SEEDS, st.lists(st.text(max_size=12), min_size=1, max_size=5),
+       st.sampled_from([1, 2, 146, 1000]))
+@settings(max_examples=60)
+def test_draws_rows_are_the_streams_outputs(seed, tags, n):
+    # text() reaches past ASCII, so tags of multibyte UTF-8 are covered
+    bulk = draws(seed, tags, n)
+    assert bulk.shape == (len(tags), n) and bulk.dtype == np.uint64
+    for row, tag in zip(bulk, tags):
+        assert np.array_equal(row, stream(seed, tag).u64(n))
+
+
+@given(_SEEDS, st.text(max_size=12), st.sampled_from([1, 2, 146, 1000]))
+@settings(max_examples=40)
+def test_a_stream_continues_after_the_bulk_equivalent_draw(seed, tag, n):
+    s = stream(seed, tag)
+    s.u64(n)
+    assert np.array_equal(s.u64(7), draws(seed, [tag], n + 7)[0, n:])
+
+
+def test_seeds_a_multiple_of_2_to_the_64_apart_are_one_stream():
+    assert np.array_equal(draws(5, ["é/ü"], 4), draws(5 + 2**64, ["é/ü"], 4))
+
+
+def test_uniform_is_uniform_from_bits_of_the_raw_outputs():
+    bits = stream(4, "ub").u64(12)
+    got = stream(4, "ub").uniform((3, 4), -0.5, 2.0)
+    assert got.tobytes() == uniform_from_bits(bits, -0.5, 2.0).reshape(3, 4).tobytes()

@@ -5,6 +5,7 @@ import os
 import re
 import socket
 import statistics
+import struct
 import subprocess
 import sys
 import threading
@@ -225,6 +226,37 @@ def test_stalled_body_uses_no_budget(monkeypatch):
             assert sock.recv(4096) == b""
         assert requests.post(f"{handle.url}/v1/predict", timeout=5,
                              json=_predict_body(util.rand_image(53))).status_code == 200
+
+
+@pytest.mark.parametrize("read_reply", [False, True], ids=["before-reply", "after-reply"])
+def test_a_client_that_resets_the_connection_leaves_no_traceback(read_reply, monkeypatch,
+                                                                   capfd):
+    # the client sends a whole predict and resets the connection, either
+    # before its reply, which the forward waits for, so the reply's write
+    # fails, or after reading it, while the server awaits the next request.
+    # Either way the handler closes the connection quietly, and the reply
+    # stays counted.
+    reset, closed = threading.Event(), threading.Event()
+    real_forward, real_shutdown = nn.forward, server._Server.shutdown_request
+    monkeypatch.setattr(nn, "forward", lambda *a: reset.wait(5.0) and real_forward(*a))
+    monkeypatch.setattr(server._Server, "shutdown_request",
+                        lambda self, request: real_shutdown(self, request) or closed.set())
+    with server.serve(util.tiny_model(59, 1), mode="soft") as handle:
+        body = json.dumps(_predict_body(util.rand_image(59))).encode("ascii")
+        with _raw_post_headers(handle.url, len(body)) as sock:
+            sock.sendall(body)
+            if read_reply:
+                reset.set()
+                assert _reply_head(sock)[0] == 200
+            # a zero linger time makes close() send a reset
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        reset.set()
+        assert closed.wait(5.0)
+        assert requests.post(f"{handle.url}/v1/predict", json=_predict_body(util.rand_image(60)),
+                             timeout=5).status_code == 200
+        metrics = requests.get(f"{handle.url}/v1/metrics", timeout=5).json()
+    assert metrics["requests"] == {"200": 2}  # both predicts
+    assert capfd.readouterr().err == ""
 
 
 def test_budget_charged_when_body_arrives():
@@ -482,6 +514,14 @@ class _RawReplyHandler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):
         pass
+
+    def handle_one_request(self):
+        # as the package's server does: a client that resets the connection
+        # ends it without a traceback on stderr
+        try:
+            super().handle_one_request()
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
 
     def do_GET(self):
         self.wfile.write(_http_reply(self.server.meta))

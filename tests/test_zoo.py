@@ -41,6 +41,19 @@ def test_dataset_label_layout_and_splits():
         assert set(split.labels.tolist()) == set(range(4))
 
 
+@pytest.mark.parametrize("num_classes, per_class, side, seed", [
+    (2, 2, 4, 0), (2, 3, 17, 5), (3, 2, 9, 2**64 + 1), (4, 6, 8, 3), (8, 25, 12, 7),
+    (11, 2, 17, 11),
+])
+def test_dataset_equals_the_per_sample_reference_bytewise(num_classes, per_class, side, seed):
+    # 2 classes draw the other class mod 1, so every sample leans to the one other class
+    got = zoo.make_synthetic_dataset(num_classes, per_class, side, seed)
+    ref = util.per_sample_synthetic_dataset(num_classes, per_class, side, seed)
+    assert got.images.dtype == ref.images.dtype and got.images.shape == ref.images.shape
+    assert got.images.tobytes() == ref.images.tobytes()
+    assert got.labels.dtype == ref.labels.dtype and np.array_equal(got.labels, ref.labels)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         zoo.LabeledDataset(np.zeros((2, 1, 4, 4), np.float32), np.zeros(3, np.int64), 2, 4)

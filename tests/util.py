@@ -13,7 +13,8 @@ the full reverse pass built on them. per_sample_train and
 per_sample_accuracy are the same kind for the zoo: the trainer and
 accuracy loops that ran one sample at a time (their parameter gradients
 from ref_param_grads), so the batched ones can be checked against them
-bit for bit. ref_single_loss, ref_fuse and
+bit for bit, and per_sample_synthetic_dataset is the dataset synthesis
+that opened one stream per image. ref_single_loss, ref_fuse and
 ref_ensemble_input_gradient are the same kind for the PM step: the
 per-member loss loop and the gradient that back-propagated every member,
 so the stacked fusion and the skip of fooled members can be checked
@@ -187,6 +188,29 @@ def per_sample_train(model, dataset, cfg, record=None):
         if record is not None:
             record.append(mean_loss)
     return model.with_params(theta_from_groups(model.layers, params))
+
+
+def per_sample_synthetic_dataset(num_classes, per_class, side, seed):
+    """zoo.make_synthetic_dataset as it ran before its streams were drawn
+    in one pass: one stream per image, mixed and clipped one at a time."""
+    images = np.empty((num_classes * per_class, 1, side, side), dtype=np.float32)
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    span = np.float32(zoo.TEMPLATE_HIGH - zoo.TEMPLATE_LOW)
+    templates = []
+    for c in range(num_classes):
+        grid = stream(seed, f"template/{c}").uniform((zoo.TEMPLATE_GRID, zoo.TEMPLATE_GRID))
+        templates.append(zoo.TEMPLATE_LOW + span * zoo._bilinear_upsample(grid, side))
+    for c in range(num_classes):
+        for i in range(per_class):
+            s = stream(seed, f"noise/{c}/{i}")
+            other = int(s.integer(num_classes - 1))
+            other += other >= c
+            mix = np.float32(zoo.MIX_MAX * float(s.uniform((), 0.0, 1.0)) ** zoo.MIX_POWER)
+            base = (1 - mix) * templates[c] + mix * templates[other]
+            noise = s.uniform((side, side), -zoo.NOISE_AMP, zoo.NOISE_AMP)
+            images[c * per_class + i, 0] = np.clip(base + noise, 0.0, 1.0).astype(np.float32)
+            labels[c * per_class + i] = c
+    return zoo.LabeledDataset(images, labels, num_classes, side)
 
 
 def assert_views_of_theta(model):

@@ -11,6 +11,9 @@ and a last line over all parts:
 
 - ``zoo-7`` and ``zoo-11``: every file of ``zoo.build_zoo`` at its
   defaults and that seed, after ``zoo.train_zoo``;
+- ``zoo-odd``: every file of an untrained ``zoo.build_zoo`` away from the
+  defaults (3 classes, 3 images per class, side 9, seed 5), so the
+  dataset's synthesis is covered at sizes no other part uses;
 - ``experiment-local``: every artifact of the README experiment
   (victim-cnn, six surrogates, targeted ``easiest``, 50 queries, linf
   16/255) on the seed-7 zoo, the victim in-process;
@@ -68,6 +71,9 @@ def main() -> None:
             zoo.build_zoo(zoo_dir, seed=seed)
             zoo.train_zoo(zoo_dir)
             parts[f"zoo-{seed}"] = tree_digest(zoo_dir)
+        odd_dir = os.path.join(tmp, "zoo-odd")
+        zoo.build_zoo(odd_dir, num_classes=3, per_class=3, side=9, seed=5)
+        parts["zoo-odd"] = tree_digest(odd_dir)
         zoo_dir = os.path.join(tmp, "zoo-7")
         out = os.path.join(tmp, "local")
         run_readme_experiment(zoo_dir, {"model_id": "victim-cnn"}, out)
