@@ -133,7 +133,7 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
         if moving:
             g = ensemble_input_gradient(models, x, delta, w, cfg.fusion, cfg.loss, goal)
             step = project(delta - lam * np.sign(g), x, cfg.budget)
-            # bytes differ at once on a step that moves delta, so this stays cheap
+            # the bits, not the values: array_equal would take -0.0 for +0.0
             moving = step.tobytes() != delta.tobytes()
             delta = step
         if on_step is not None:
