@@ -22,7 +22,7 @@ from .errors import ConfigError, FormatError
 from .losses import AttackGoal, LossKind
 from .oracle import LocalOracle, require_soft
 from .prng import stream
-from .search import AttackOutcome, SearchConfig, bases_attack, score_victim
+from .search import AttackOutcome, SearchConfig, bases_attack, prober
 
 _GOAL_POLICIES = ("provided", "easiest", "hardest", "random")
 
@@ -421,14 +421,13 @@ def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: in
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     x = np.asarray(x, dtype=np.float32)
-    victim = LocalOracle(victim_model)
+    probe = prober(x, goal, surrogates, pm_cfg, LocalOracle(victim_model))
     rows = []
     for i in range(resolution, -1, -1):
         for j in range(resolution - i, -1, -1):
             k = resolution - i - j
             w = np.array([i, j, k], dtype=np.float64) / resolution
-            _, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), pm_cfg)
-            rows.append((i, j, k, *score_victim(victim, x_star, goal, pm_cfg.loss)))
+            rows.append((i, j, k, *probe(w, np.zeros_like(x))[1:]))
     return rows
 
 

@@ -7,6 +7,8 @@ the incumbent delta), and asks the victim which candidate looks best. Two
 reference pathways share the same machinery: a whitebox variant that
 replaces queries with a finite-difference weight gradient, and a hard-label
 variant that replays a pre-built query set against a label-only oracle.
+Every pathway runs the PM and scores its output through one probe
+(``prober``), and nowhere else.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +37,8 @@ class SearchConfig:
             check_number("eta", self.eta)
         if self.order not in ("cyclic", "random"):
             raise ValueError(f"unknown order {self.order!r}")
+        if type(self.order_seed) is not int:
+            raise ValueError(f"order_seed must be an integer, got {self.order_seed!r}")
         if self.select_rule not in ("monotone_three_way", "paper_two_way"):
             raise ValueError(f"unknown select_rule {self.select_rule!r}")
 
@@ -125,48 +129,56 @@ def score_victim(oracle, x_star, goal: AttackGoal, loss: LossKind) -> tuple:
     return value, is_success(resp.label, goal)
 
 
-def _coordinate_search(x, goal: AttackGoal, surrogates, cfg: SearchConfig, evaluate):
-    """The coordinate search both query pathways run.
+def prober(x, goal: AttackGoal, surrogates, pm_cfg: pm_mod.PMConfig, oracle):
+    """``probe(w, warm) -> (delta, victim loss, success)``: one PM run at
+    weights ``w`` from the warm start ``warm``, scored by one query of
+    ``oracle``. Every pathway runs the PM only through a probe."""
+    def probe(w, warm):
+        delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, warm, pm_cfg)
+        return (delta, *score_victim(oracle, x_star, goal, pm_cfg.loss))
+    return probe
 
-    ``evaluate(delta, x_star, coordinate, tag) -> (loss, stop)`` scores each
-    PM output, at most ``cfg.max_queries`` times, the equal-weights start
-    first. Each outer iteration scores the plus candidate and, while the
+
+def _coordinate_search(x, n: int, cfg: SearchConfig, probe):
+    """The coordinate search both query pathways run over ``n`` surrogates.
+
+    It probes at most ``cfg.max_queries`` times, the equal-weights start
+    first. Each outer iteration probes the plus candidate and, while the
     budget lasts, the minus candidate, then accepts the lowest loss among
-    the candidates of ``cfg.select_rule``; a candidate that returns stop is
-    accepted at once and ends the search. Returns (trajectory, stopped,
-    delta, w).
+    the candidates of ``cfg.select_rule``; a successful candidate is
+    accepted at once and ends the search. Returns (trajectory, asked), with
+    (coordinate, tag, delta, loss, success) in ``asked`` for each probe.
     """
-    n = len(surrogates)
     eta = cfg.resolved_eta(n)
+    asked = []
+
+    def ask(coordinate, tag, w, warm):
+        delta, loss, ok = probe(w, warm)
+        asked.append((coordinate, tag, delta, loss, ok))
+        return delta, loss, ok
+
     w = np.full(n, 1.0 / n)
-    delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), cfg.pm)
-    loss, stop = evaluate(delta, x_star, -1, "init")
+    delta, loss, stop = ask(-1, "init", w, np.zeros_like(x))
     trajectory = [IterationRecord(0, -1, "init", w.copy(), loss, stop, delta.copy(),
                                   np.zeros_like(x))]
-    used = 1
-
     schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
-    iteration = 0
-    while not stop and used < cfg.max_queries:
-        iteration += 1
+    while not stop and len(asked) < cfg.max_queries:
         coord = next(schedule)
         warm = delta.copy()
         candidates = [("incumbent", w, delta, loss)] if cfg.select_rule == "monotone_three_way" else []
         for tag, w_cand in zip(("plus", "minus"), coordinate_pair(w, coord, eta)):
-            if used == cfg.max_queries:
+            if len(asked) == cfg.max_queries:
                 break
-            d, xs = pm_mod.pm_run(x, goal, surrogates, w_cand, warm, cfg.pm)
-            cand_loss, stop = evaluate(d, xs, coord, tag)
-            used += 1
+            d, cand_loss, stop = ask(coord, tag, w_cand, warm)
             candidates.append((tag, w_cand, d, cand_loss))
             if stop:
                 break
         # min loss; ties keep the earliest listed (incumbent, then plus, then
         # minus)
         tag, w, delta, loss = candidates[-1] if stop else min(candidates, key=lambda c: c[3])
-        trajectory.append(IterationRecord(iteration, coord, tag, w.copy(), loss, stop,
+        trajectory.append(IterationRecord(len(trajectory), coord, tag, w.copy(), loss, stop,
                                           delta.copy(), warm))
-    return trajectory, stop, delta, w
+    return trajectory, asked
 
 
 def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> AttackOutcome:
@@ -179,15 +191,22 @@ def bases_attack(x, goal: AttackGoal, oracle, surrogates, cfg: SearchConfig) -> 
     """
     require_soft(oracle)
     x = np.asarray(x, dtype=np.float32)
-    events = []
+    trajectory, asked = _coordinate_search(x, len(surrogates), cfg,
+                                           prober(x, goal, surrogates, cfg.pm, oracle))
+    events = [QueryEvent(k, coord, tag, loss, ok)
+              for k, (coord, tag, _, loss, ok) in enumerate(asked, start=1)]
+    last = trajectory[-1]
+    return AttackOutcome(last.success, last.delta, len(events), last.w, events, trajectory)
 
-    def ask(delta, x_star, coordinate, tag):
-        loss, ok = score_victim(oracle, x_star, goal, cfg.pm.loss)
-        events.append(QueryEvent(len(events) + 1, coordinate, tag, loss, ok))
-        return loss, ok
 
-    trajectory, success, delta, w = _coordinate_search(x, goal, surrogates, cfg, ask)
-    return AttackOutcome(success, delta, len(events), w, events, trajectory)
+def _weight_gradient(probe, n: int, w, warm, h: float) -> np.ndarray:
+    """Central differences of the probed victim loss over the first ``n``
+    weights of ``w``, each from ``warm``, with step ``h`` (2n probes)."""
+    grad = np.zeros(n)
+    for i in range(n):
+        (_, up, _), (_, down, _) = (probe(cand, warm) for cand in coordinate_pair(w, i, h))
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
 
 
 def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
@@ -198,18 +217,9 @@ def estimate_weight_gradient(x, goal: AttackGoal, victim_model, surrogates, w,
     Each probe evaluates L_v at the PM output for the renormalized candidate
     weight vector, warm-started from the same delta_init (2N PM runs), as
     an in-process oracle of ``victim_model`` scores it."""
-    victim = LocalOracle(victim_model)
-    n = len(surrogates)
-    h = cfg.resolved_eta(n)
-    grad = np.zeros(n)
-    for i in range(n):
-        w_plus, w_minus = coordinate_pair(w, i, h)
-        vals = []
-        for cand in (w_plus, w_minus):
-            _, x_star = pm_mod.pm_run(x, goal, surrogates, cand, delta_init, cfg.pm)
-            vals.append(score_victim(victim, x_star, goal, cfg.pm.loss)[0])
-        grad[i] = (vals[0] - vals[1]) / (2.0 * h)
-    return grad
+    h = cfg.resolved_eta(len(surrogates))
+    probe = prober(x, goal, surrogates, cfg.pm, LocalOracle(victim_model))
+    return _weight_gradient(probe, len(surrogates), w, delta_init, h)
 
 
 def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
@@ -221,35 +231,26 @@ def whitebox_weight_attack(x, goal: AttackGoal, victim_model, surrogates,
     normalized gradient direction (sup-norm scaling keeps the move size
     comparable to the blackbox coordinate step). No victim queries are
     counted; it runs the blackbox outer-iteration count (max_queries - 1) // 2,
-    so success-vs-iteration curves line up.
+    so success-vs-iteration curves line up. One in-process oracle of
+    ``victim_model`` scores every probe.
     """
     x = np.asarray(x, dtype=np.float32)
     n = len(surrogates)
     eta = cfg.resolved_eta(n)
-    victim = LocalOracle(victim_model)
+    probe = prober(x, goal, surrogates, cfg.pm, LocalOracle(victim_model))
+    w, delta, ok = np.full(n, 1.0 / n), np.zeros_like(x), False
     trajectory = []
-
-    def evaluate(wv, warm, iteration, accepted):
-        d, x_star = pm_mod.pm_run(x, goal, surrogates, wv, warm, cfg.pm)
-        loss, ok = score_victim(victim, x_star, goal, cfg.pm.loss)
-        trajectory.append(IterationRecord(iteration, -1, accepted, wv.copy(), loss, ok,
-                                          d.copy(), np.asarray(warm, dtype=np.float32).copy()))
-        return d, loss, ok
-
-    w = np.full(n, 1.0 / n)
-    delta, loss, ok = evaluate(w, np.zeros_like(x), 0, "init")
-    if ok:
-        return AttackOutcome(True, delta, 0, w, [], trajectory)
-
-    for it in range(1, (cfg.max_queries - 1) // 2 + 1):
-        g = estimate_weight_gradient(x, goal, victim_model, surrogates, w, delta, cfg)
-        scale = float(np.abs(g).max())
-        if scale > 0.0:
-            w = normalize_weights(w - eta * (g / scale))
-        delta, loss, ok = evaluate(w, delta, it, "step")
-        if ok:
-            return AttackOutcome(True, delta, 0, w, [], trajectory)
-    return AttackOutcome(False, delta, 0, w, [], trajectory)
+    while not ok and len(trajectory) <= (cfg.max_queries - 1) // 2:
+        if trajectory:
+            g = _weight_gradient(probe, n, w, delta, eta)
+            scale = float(np.abs(g).max())
+            if scale > 0.0:
+                w = normalize_weights(w - eta * (g / scale))
+        warm = delta
+        delta, loss, ok = probe(w, warm)
+        trajectory.append(IterationRecord(len(trajectory), -1, "step" if trajectory else "init",
+                                          w.copy(), loss, ok, delta.copy(), warm.copy()))
+    return AttackOutcome(ok, delta, 0, w, [], trajectory)
 
 
 def hardlabel_queryset(x, goal: AttackGoal, surrogate_victim, surrogates,
@@ -259,15 +260,11 @@ def hardlabel_queryset(x, goal: AttackGoal, surrogate_victim, surrogates,
     stand-in query. The first entry is the equal-weights PM output; the
     list has exactly cfg.max_queries entries."""
     x = np.asarray(x, dtype=np.float32)
-    stand_in = LocalOracle(surrogate_victim)
-    deltas = []
-
-    def evaluate(delta, x_star, coordinate, tag):
-        deltas.append(delta.copy())
-        return score_victim(stand_in, x_star, goal, cfg.pm.loss)[0], False
-
-    _coordinate_search(x, goal, surrogates, cfg, evaluate)
-    return deltas
+    probe = prober(x, goal, surrogates, cfg.pm, LocalOracle(surrogate_victim))
+    # a stand-in's success never stops the search
+    _, asked = _coordinate_search(x, len(surrogates), cfg,
+                                  lambda w, warm: (*probe(w, warm)[:2], False))
+    return [delta for _, _, delta, _, _ in asked]
 
 
 def hardlabel_attack(x, goal: AttackGoal, queryset, hard_oracle) -> AttackOutcome:

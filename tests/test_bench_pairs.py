@@ -1,9 +1,11 @@
 """tools/bench_pairs.py on fake result lines: the order it runs the sides
-in, its summary and verdicts, and what it writes. No benchmark runs here."""
+in, its summary and verdicts, the throughput it reads from a run's
+readable lines, and what it writes. No benchmark runs here."""
 
 import importlib.util
 import json
 import signal
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ def _result(**values):
 def test_pairs_alternate_which_side_runs_first():
     made = []
     runs = bench_pairs.run_pairs(["w1", "w2"], 3, 100,
-                                 lambda side, w, seed: made.append((w, seed, side)) or (0, None))
+                                 lambda side, w, seed: made.append((w, seed, side)) or (0, None, {}))
     assert made == [("w1", 100, "parent"), ("w1", 100, "change"),
                     ("w1", 101, "change"), ("w1", 101, "parent"),
                     ("w1", 102, "parent"), ("w1", 102, "change"),
@@ -96,7 +98,8 @@ def test_main_writes_every_run_and_removes_the_parent_tree(tmp_path, monkeypatch
         trees.append(tree)
         assert seconds == 10
         value = 2.0 if tree == bench_pairs.ROOT else 1.0
-        return 0, _result(setup_s=value, ok_frac=1.0), {"python": "3", "workload": workload}
+        return (0, _result(setup_s=value, ok_frac=1.0), {"python": "3", "workload": workload},
+                {"train_samples_per_s": 100.0 * value})
 
     monkeypatch.setattr(bench_pairs, "_bench", bench)
     out = tmp_path / "BENCH_x.json"
@@ -112,7 +115,12 @@ def test_main_writes_every_run_and_removes_the_parent_tree(tmp_path, monkeypatch
     assert [r["seed"] for r in record["runs"]] == [7, 7, 8, 8]
     assert record["summary"]["zoo-train"]["setup_s"]["verdict"] == "worse"
     assert record["summary"]["zoo-train"]["ok_frac"]["verdict"] == "ok"
-    assert "lower in 0 of 2  worse" in capsys.readouterr().out
+    assert record["throughput"]["zoo-train"]["train_samples_per_s"]["pairs_change_higher"] == 2
+    assert [r["throughput"] for r in record["runs"]] == [{"train_samples_per_s": v}
+                                                         for v in (100.0, 200.0, 200.0, 100.0)]
+    out = capsys.readouterr().out
+    assert "lower in 0 of 2  worse" in out
+    assert "train_samples_per_s parent 100  change 200  higher in 2 of 2\n" in out
 
 
 def test_main_removes_the_parent_tree_when_a_run_is_interrupted(tmp_path, monkeypatch):
@@ -128,3 +136,68 @@ def test_main_removes_the_parent_tree_when_a_run_is_interrupted(tmp_path, monkey
                           "--out", str(tmp_path / "b.json")])
     assert git_calls[-1][:3] == ("worktree", "remove", "--force")
     assert not (tmp_path / "b.json").exists()
+
+
+ATTACK_STDOUT = """setup_s 3.61 s
+timed 10.02 s over 366 units
+queries_per_s 599.2 1/s
+query_p50_ms 2.17 ms (n=6004)
+query_p90_ms n/a: too few samples (n=3)
+images_per_s 36.6 1/s
+image_p50_ms 25.3 ms (n=366)
+fooling_rate 0.93 frac
+peak_rss_mb 40.5 MB
+env {"python": "3.11.7", "nproc": 2}
+{"correct": true, "attempted": 6004, "failed": 0, "metrics": {}}
+"""
+
+
+def test_bench_keeps_the_readable_throughput_lines(monkeypatch):
+    seen = []
+
+    def fake_run(argv, **kw):
+        seen.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout=ATTACK_STDOUT, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    code, result, env, rates = bench_pairs._bench(Path("tree"), "attack-local", 5, 10)
+    assert seen[0][-8:] == ["--workload", "attack-local", "--seed", "5", "--seconds", "10",
+                            "--trace", "0"]
+    assert (code, result["correct"], env["nproc"]) == (0, True, 2)
+    assert rates == {"queries_per_s": 599.2, "images_per_s": 36.6}
+
+
+def test_readable_throughput_skips_what_it_cannot_read():
+    assert bench_pairs.readable_throughput(
+        ["", "train_samples_per_s 812.5 1/s", "images_per_s", "queries_per_s n/a 1/s",
+         "queries_per_second 9 1/s"]) == {"train_samples_per_s": 812.5}
+
+
+def test_throughput_summary_has_medians_and_higher_in_k_of_n_but_no_verdict():
+    runs = _runs([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])  # setup_s only: no throughput line
+    values = iter([30.0, 40.0, 35.0, 30.0, 20.0, 25.0])
+    for r in runs:
+        r["throughput"] = {"images_per_s": next(values)}
+    runs[-1]["throughput"] = {}  # pair 2 counts only when both its runs read it
+    summary = bench_pairs.summarize_throughput(runs)
+    s = summary["w"]["images_per_s"]
+    # pair 0: parent 30, change 40; pair 1 runs the change first: 35, parent 30
+    assert s["parent"]["median"] == 30.0 and s["change"]["median"] == 37.5
+    assert (s["pairs_change_higher"], s["pairs"]) == (2, 2)
+    assert "verdict" not in s and "bound" not in s
+    assert list(summary["w"]) == ["images_per_s"]
+    assert bench_pairs.report_throughput(summary) == [
+        "w             images_per_s        parent 30  change 37.5  higher in 2 of 2"]
+
+
+def test_throughput_never_changes_the_exit_code(tmp_path, monkeypatch):
+    _fake_git(monkeypatch, [])
+
+    def bench(tree, workload, seed, seconds):
+        # the change reads half the parent's throughput, and nothing else moves
+        rate = 50.0 if tree == bench_pairs.ROOT else 100.0
+        return 0, _result(setup_s=1.0, ok_frac=1.0), {}, {"images_per_s": rate}
+
+    monkeypatch.setattr(bench_pairs, "_bench", bench)
+    assert bench_pairs.main(["--parent", "HEAD", "--workloads", "attack-local", "--pairs", "2",
+                             "--seed", "1", "--out", str(tmp_path / "b.json")]) == 0

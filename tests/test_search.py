@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ def test_search_config_validation():
         _cfg(select_rule="greedy")
     assert _cfg().resolved_eta(6) == 1.0 / 60.0
     assert _cfg(eta=0.2).resolved_eta(6) == 0.2
+
+
+@pytest.mark.parametrize("seed", ["a", None, 1.5, True])
+def test_search_config_rejects_an_order_seed_that_is_not_an_integer(seed):
+    # under order="random" these used to fail after the first query, or
+    # ran as another seed (1.5 as 1, True as 1)
+    with pytest.raises(ValueError, match="order_seed"):
+        _cfg(order="random", order_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +384,92 @@ def test_hardlabel_attack_stops_mid_set():
     assert out.success and out.q_used == 3 and orc.count == 3
     assert np.array_equal(out.delta, qs[2])
 
+
+
+# ---------------------------------------------------------------------------
+# every pathway against the loops that ran before probes, bit for bit
+
+FUSIONS = ["weighted_loss", "weighted_logits", "weighted_probabilities"]
+
+
+def _bits(value):
+    a = np.asarray(value)
+    return type(value), a.dtype, a.shape, a.tobytes()
+
+
+def _assert_same(got, want, cls):
+    for f in fields(cls):
+        assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), (cls.__name__, f.name)
+
+
+def _assert_same_outcome(got, want):
+    assert [_bits(getattr(got, k)) for k in ("success", "delta", "q_used", "w_final")] == \
+        [_bits(getattr(want, k)) for k in ("success", "delta", "q_used", "w_final")]
+    assert len(got.events) == len(want.events)
+    for g, r in zip(got.events, want.events):
+        _assert_same(g, r, search.QueryEvent)
+    assert len(got.trajectory) == len(want.trajectory)
+    for g, r in zip(got.trajectory, want.trajectory):
+        _assert_same(g, r, search.IterationRecord)
+
+
+def _probe_cfg(fusion, max_queries, **kw):
+    return search.SearchConfig(
+        pm=pm.PMConfig(budget=pm.Budget("linf", 0.2), steps=3, fusion=fusion),
+        max_queries=max_queries, **kw)
+
+
+def _case(k):
+    surrogates = [util.tiny_model(300 + 10 * k + j, j + k) for j in range(3)]
+    x = util.rand_image(300 + k)
+    goal = util.untargeted(k % util.TINY_CLASSES) if k % 2 else util.targeted(k % util.TINY_CLASSES)
+    return x, goal, surrogates, util.tiny_model(350 + k, k)
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+@pytest.mark.parametrize("order", ["cyclic", "random"])
+@pytest.mark.parametrize("select_rule", ["monotone_three_way", "paper_two_way"])
+def test_query_pathways_match_the_callback_loop_bitwise(select_rule, order, fusion):
+    successes = set()
+    for k in range(4):
+        x, goal, surrogates, victim = _case(k)
+        cfg = _probe_cfg(fusion, 11, select_rule=select_rule, order=order, order_seed=k)
+        got_oracle, want_oracle = LocalOracle(victim), LocalOracle(victim)
+        got = search.bases_attack(x, goal, got_oracle, surrogates, cfg)
+        want = util.ref_bases_attack(x, goal, want_oracle, surrogates, cfg)
+        _assert_same_outcome(got, want)
+        assert [r.digest for r in got_oracle.log] == [r.digest for r in want_oracle.log]
+        successes.add(got.success)
+
+        got_qs = search.hardlabel_queryset(x, goal, victim, surrogates, cfg)
+        want_qs = util.ref_hardlabel_queryset(x, goal, victim, surrogates, cfg)
+        assert [_bits(d) for d in got_qs] == [_bits(d) for d in want_qs]
+        assert len(got_qs) == cfg.max_queries
+    # both a search that stops at a success and one that spends its budget
+    assert successes == {True, False}
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_whitebox_matches_the_oracle_per_estimate_loop_bitwise(fusion):
+    cfg = _probe_cfg(fusion, 9)
+    for k in range(3):
+        x, goal, surrogates, victim = _case(k)
+        got = search.whitebox_weight_attack(x, goal, victim, surrogates, cfg)
+        _assert_same_outcome(got, util.ref_whitebox_weight_attack(x, goal, victim, surrogates, cfg))
+        w, warm = np.array([0.5, 0.3, 0.2]), got.trajectory[0].delta
+        assert _bits(search.estimate_weight_gradient(x, goal, victim, surrogates, w, warm, cfg)) \
+            == _bits(util.ref_estimate_weight_gradient(x, goal, victim, surrogates, w, warm, cfg))
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_stuck_whitebox_matches_the_oracle_per_estimate_loop_bitwise(fusion):
+    # a constant victim gives a zero gradient, so w never moves and the
+    # attack runs every iteration from the equal weights
+    x, _, surrogates, _ = _case(0)
+    victim = util.const_model(hot=0)
+    cfg = _probe_cfg(fusion, 9)
+    got = search.whitebox_weight_attack(x, util.targeted(1), victim, surrogates, cfg)
+    _assert_same_outcome(got, util.ref_whitebox_weight_attack(x, util.targeted(1), victim,
+                                                              surrogates, cfg))
+    assert not got.success and len(got.trajectory) == 5
+    assert all(np.array_equal(rec.w, np.full(3, 1 / 3)) for rec in got.trajectory)

@@ -18,17 +18,25 @@ that opened one stream per image. ref_single_loss, ref_fuse and
 ref_ensemble_input_gradient are the same kind for the PM step: the
 per-member loss loop and the gradient that back-propagated every member,
 so the stacked fusion and the skip of fooled members can be checked
+against them bit for bit. ref_bases_attack, ref_hardlabel_queryset and
+ref_whitebox_weight_attack are the same kind for the search: the
+coordinate-search loop that scored each PM run through an ``evaluate``
+callback, and the whitebox loop that built an oracle for every gradient
+estimate, so the pathways that run the PM through one probe can be checked
 against them bit for bit.
 """
 
 import numpy as np
 
 from ensattack import nn, zoo
+from ensattack import pm as pm_mod
 from ensattack.errors import DegenerateClassifierError, TrainingDivergedError
 from ensattack.losses import (_P_FLOOR, AttackGoal, LossKind, check_weights, cross_entropy,
                               single_loss)
-from ensattack.oracle import Oracle
+from ensattack.oracle import LocalOracle, Oracle
 from ensattack.prng import stream
+from ensattack.search import (AttackOutcome, IterationRecord, QueryEvent, _coordinate_schedule,
+                              coordinate_pair, normalize_weights, score_victim)
 from ensattack.zoo import BATCH_SIZE, WEIGHT_DECAY
 
 
@@ -316,6 +324,117 @@ def ref_ensemble_input_gradient(models, x, delta, w, fusion: str, loss: LossKind
         dx, _ = nn.backward(models[i], acts, u)
         grad = dx if grad is None else grad + dx
     return grad
+
+
+def _ref_coordinate_search(x, goal, surrogates, cfg, evaluate):
+    """search._coordinate_search as it ran before probes: each PM output
+    scored by ``evaluate(delta, x_star, coordinate, tag) -> (loss, stop)``.
+    Returns (trajectory, stopped, delta, w)."""
+    n = len(surrogates)
+    eta = cfg.resolved_eta(n)
+    w = np.full(n, 1.0 / n)
+    delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, np.zeros_like(x), cfg.pm)
+    loss, stop = evaluate(delta, x_star, -1, "init")
+    trajectory = [IterationRecord(0, -1, "init", w.copy(), loss, stop, delta.copy(),
+                                  np.zeros_like(x))]
+    used = 1
+
+    schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
+    iteration = 0
+    while not stop and used < cfg.max_queries:
+        iteration += 1
+        coord = next(schedule)
+        warm = delta.copy()
+        candidates = [("incumbent", w, delta, loss)] if cfg.select_rule == "monotone_three_way" else []
+        for tag, w_cand in zip(("plus", "minus"), coordinate_pair(w, coord, eta)):
+            if used == cfg.max_queries:
+                break
+            d, xs = pm_mod.pm_run(x, goal, surrogates, w_cand, warm, cfg.pm)
+            cand_loss, stop = evaluate(d, xs, coord, tag)
+            used += 1
+            candidates.append((tag, w_cand, d, cand_loss))
+            if stop:
+                break
+        tag, w, delta, loss = candidates[-1] if stop else min(candidates, key=lambda c: c[3])
+        trajectory.append(IterationRecord(iteration, coord, tag, w.copy(), loss, stop,
+                                          delta.copy(), warm))
+    return trajectory, stop, delta, w
+
+
+def ref_bases_attack(x, goal, oracle, surrogates, cfg):
+    """search.bases_attack as it ran before probes."""
+    x = np.asarray(x, dtype=np.float32)
+    events = []
+
+    def ask(delta, x_star, coordinate, tag):
+        loss, ok = score_victim(oracle, x_star, goal, cfg.pm.loss)
+        events.append(QueryEvent(len(events) + 1, coordinate, tag, loss, ok))
+        return loss, ok
+
+    trajectory, success, delta, w = _ref_coordinate_search(x, goal, surrogates, cfg, ask)
+    return AttackOutcome(success, delta, len(events), w, events, trajectory)
+
+
+def ref_hardlabel_queryset(x, goal, surrogate_victim, surrogates, cfg):
+    """search.hardlabel_queryset as it ran before probes."""
+    x = np.asarray(x, dtype=np.float32)
+    stand_in = LocalOracle(surrogate_victim)
+    deltas = []
+
+    def evaluate(delta, x_star, coordinate, tag):
+        deltas.append(delta.copy())
+        return score_victim(stand_in, x_star, goal, cfg.pm.loss)[0], False
+
+    _ref_coordinate_search(x, goal, surrogates, cfg, evaluate)
+    return deltas
+
+
+def ref_estimate_weight_gradient(x, goal, victim_model, surrogates, w, delta_init, cfg):
+    """search.estimate_weight_gradient as it ran before probes."""
+    victim = LocalOracle(victim_model)
+    n = len(surrogates)
+    h = cfg.resolved_eta(n)
+    grad = np.zeros(n)
+    for i in range(n):
+        w_plus, w_minus = coordinate_pair(w, i, h)
+        vals = []
+        for cand in (w_plus, w_minus):
+            _, x_star = pm_mod.pm_run(x, goal, surrogates, cand, delta_init, cfg.pm)
+            vals.append(score_victim(victim, x_star, goal, cfg.pm.loss)[0])
+        grad[i] = (vals[0] - vals[1]) / (2.0 * h)
+    return grad
+
+
+def ref_whitebox_weight_attack(x, goal, victim_model, surrogates, cfg):
+    """search.whitebox_weight_attack as it ran before probes: a new oracle
+    of ``victim_model`` for every gradient estimate."""
+    x = np.asarray(x, dtype=np.float32)
+    n = len(surrogates)
+    eta = cfg.resolved_eta(n)
+    victim = LocalOracle(victim_model)
+    trajectory = []
+
+    def evaluate(wv, warm, iteration, accepted):
+        d, x_star = pm_mod.pm_run(x, goal, surrogates, wv, warm, cfg.pm)
+        loss, ok = score_victim(victim, x_star, goal, cfg.pm.loss)
+        trajectory.append(IterationRecord(iteration, -1, accepted, wv.copy(), loss, ok,
+                                          d.copy(), np.asarray(warm, dtype=np.float32).copy()))
+        return d, loss, ok
+
+    w = np.full(n, 1.0 / n)
+    delta, loss, ok = evaluate(w, np.zeros_like(x), 0, "init")
+    if ok:
+        return AttackOutcome(True, delta, 0, w, [], trajectory)
+
+    for it in range(1, (cfg.max_queries - 1) // 2 + 1):
+        g = ref_estimate_weight_gradient(x, goal, victim_model, surrogates, w, delta, cfg)
+        scale = float(np.abs(g).max())
+        if scale > 0.0:
+            w = normalize_weights(w - eta * (g / scale))
+        delta, loss, ok = evaluate(w, delta, it, "step")
+        if ok:
+            return AttackOutcome(True, delta, 0, w, [], trajectory)
+    return AttackOutcome(False, delta, 0, w, [], trajectory)
 
 
 def naive_forward(model, x):

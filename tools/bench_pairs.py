@@ -27,8 +27,15 @@ change read lower, and a verdict:
   than that bound, relative to the parent's median;
 - ``ok`` otherwise.
 
+``perfbench/run.py`` prints its throughput, ``images_per_s``,
+``queries_per_s`` and, for zoo-train, ``train_samples_per_s``, only as
+readable lines, which its final JSON line leaves out. The script keeps
+them per run, and prints both sides' medians and in how many pairs the
+change read higher. They have no bound and no verdict.
+
 The exit code is 0 only when every run passed its checks and no verdict
-is ``worse``. BENCHMARK.json is read, never written.
+is ``worse``; the throughput lines never change it. BENCHMARK.json is
+read, never written.
 """
 
 import argparse
@@ -41,6 +48,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+THROUGHPUT = ("images_per_s", "queries_per_s", "train_samples_per_s")
 
 
 def pair_order(i: int) -> tuple:
@@ -50,15 +58,17 @@ def pair_order(i: int) -> tuple:
 
 def run_pairs(workloads, pairs: int, seed: int, run) -> list:
     """Every run, in the order made: ``run(side, workload, seed)`` returns
-    (exit code, final JSON line parsed, or None if it was not JSON)."""
+    (exit code, final JSON line parsed, or None if it was not JSON,
+    throughput by name)."""
     runs = []
     for k, workload in enumerate(workloads):
         for i in range(pairs):
             s = seed + k * pairs + i
             for side in pair_order(i):
-                code, result = run(side, workload, s)
+                code, result, rates = run(side, workload, s)
                 runs.append({"run": len(runs) + 1, "side": side, "workload": workload,
-                             "seed": s, "pair": i, "returncode": code, "result": result})
+                             "seed": s, "pair": i, "returncode": code, "result": result,
+                             "throughput": rates})
                 print(f"{workload} pair {i} {side} seed {s}: exit {code}", file=sys.stderr)
     return runs
 
@@ -90,21 +100,26 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "worse" if sign * (c["median"] - p["median"]) > bound * scale else "ok"
 
 
+def _paired(runs: list, workload: str, value) -> list:
+    """(parent, change) of ``value(run)`` for each pair of ``workload``
+    whose two runs both have a value."""
+    by_pair = {}
+    for r in runs:
+        if r["workload"] == workload:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
+    both = [(value(p["parent"]), value(p["change"])) for p in by_pair.values() if len(p) == 2]
+    return [(a, b) for a, b in both if a is not None and b is not None]
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
     """{workload: {metric: summary}}, the metrics as BENCHMARK.json's
     ``end_to_end`` lists them. A pair counts only when both its runs
     report the metric."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        by_pair = {}
-        for r in runs:
-            if r["workload"] == workload:
-                by_pair.setdefault(r["pair"], {})[r["side"]] = r
         summary[workload] = {}
         for m in end_to_end:
-            both = [(_value(p["parent"], m["name"]), _value(p["change"], m["name"]))
-                    for p in by_pair.values() if len(p) == 2]
-            both = [(a, b) for a, b in both if a is not None and b is not None]
+            both = _paired(runs, workload, lambda r: _value(r, m["name"]))
             if not both:
                 continue
             parent, change = [a for a, _ in both], [b for _, b in both]
@@ -114,6 +129,21 @@ def summarize(runs: list, end_to_end: list) -> dict:
                 "pairs_change_higher": sum(b > a for a, b in both), "pairs": len(both),
                 "bound": m["bound"], "better": m["better"],
                 "verdict": verdict(parent, change, m["better"], m["bound"])}
+    return summary
+
+
+def summarize_throughput(runs: list) -> dict:
+    """{workload: {name: summary}} of the THROUGHPUT lines: both sides'
+    statistics and in how many pairs the change read higher."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        summary[workload] = {}
+        for name in THROUGHPUT:
+            both = _paired(runs, workload, lambda r: r.get("throughput", {}).get(name))
+            if both:
+                summary[workload][name] = {
+                    "parent": _stats([a for a, _ in both]), "change": _stats([b for _, b in both]),
+                    "pairs_change_higher": sum(b > a for a, b in both), "pairs": len(both)}
     return summary
 
 
@@ -128,6 +158,26 @@ def report(summary: dict) -> list:
                 f"q3 {p['q3']:.4g})  change {c['median']:.4g}  lower in "
                 f"{s['pairs_change_lower']} of {s['pairs']}  {s['verdict']}")
     return lines
+
+
+def report_throughput(summary: dict) -> list:
+    """One printed line per workload and throughput, with no verdict."""
+    return [f"{workload:13} {name:19} parent {s['parent']['median']:.4g}  change "
+            f"{s['change']['median']:.4g}  higher in {s['pairs_change_higher']} of {s['pairs']}"
+            for workload, rates in summary.items() for name, s in rates.items()]
+
+
+def readable_throughput(lines) -> dict:
+    """{name: value} of the THROUGHPUT lines among ``lines``, such as
+    ``queries_per_s 599.2 1/s``."""
+    rates = {}
+    for words in map(str.split, lines):
+        if words[:1] and words[0] in THROUGHPUT:
+            try:
+                rates[words[0]] = float(words[1])
+            except (IndexError, ValueError):
+                pass
+    return rates
 
 
 def _git(*args, cwd=ROOT) -> str:
@@ -146,7 +196,7 @@ def _bench(tree: Path, workload: str, seed: int, seconds) -> tuple:
     except (IndexError, json.JSONDecodeError):
         result = None
     env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
-    return proc.returncode, result, env
+    return proc.returncode, result, env, readable_throughput(lines)
 
 
 def main(argv=None) -> int:
@@ -171,15 +221,16 @@ def main(argv=None) -> int:
         _git("worktree", "add", "--detach", str(parent_tree), parent_commit)
         try:
             def run(side, workload, seed):
-                code, result, env = _bench(parent_tree if side == "parent" else ROOT,
-                                           workload, seed, seconds)
+                code, result, env, rates = _bench(parent_tree if side == "parent" else ROOT,
+                                                  workload, seed, seconds)
                 hosts.append(env)
-                return code, result
+                return code, result, rates
 
             runs = run_pairs(workloads, args.pairs, args.seed, run)
         finally:
             _git("worktree", "remove", "--force", str(parent_tree))
     summary = summarize(runs, spec["end_to_end"])
+    throughput = summarize_throughput(runs)
     host = {k: v for k, v in (hosts[0] or {}).items()
             if k in ("python", "numpy", "blas", "kernel_backend", "nproc")}
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
@@ -190,10 +241,11 @@ def main(argv=None) -> int:
                    f"--seconds {seconds} --trace 0",
         "host": host,
         "summary": summary,
+        "throughput": throughput,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print("\n".join(report(summary)))
+    print("\n".join(report(summary) + report_throughput(throughput)))
     failed = [r["run"] for r in runs
               if r["returncode"] != 0 or not (r["result"] or {}).get("correct")]
     if failed:
