@@ -150,15 +150,9 @@ def _coordinate_search(x, n: int, cfg: SearchConfig, probe):
     (coordinate, tag, delta, loss, success) in ``asked`` for each probe.
     """
     eta = cfg.resolved_eta(n)
-    asked = []
-
-    def ask(coordinate, tag, w, warm):
-        delta, loss, ok = probe(w, warm)
-        asked.append((coordinate, tag, delta, loss, ok))
-        return delta, loss, ok
-
     w = np.full(n, 1.0 / n)
-    delta, loss, stop = ask(-1, "init", w, np.zeros_like(x))
+    delta, loss, stop = probe(w, np.zeros_like(x))
+    asked = [(-1, "init", delta, loss, stop)]
     trajectory = [IterationRecord(0, -1, "init", w.copy(), loss, stop, delta.copy(),
                                   np.zeros_like(x))]
     schedule = _coordinate_schedule(cfg.order, n, cfg.order_seed)
@@ -169,7 +163,8 @@ def _coordinate_search(x, n: int, cfg: SearchConfig, probe):
         for tag, w_cand in zip(("plus", "minus"), coordinate_pair(w, coord, eta)):
             if len(asked) == cfg.max_queries:
                 break
-            d, cand_loss, stop = ask(coord, tag, w_cand, warm)
+            d, cand_loss, stop = probe(w_cand, warm)
+            asked.append((coord, tag, d, cand_loss, stop))
             candidates.append((tag, w_cand, d, cand_loss))
             if stop:
                 break
