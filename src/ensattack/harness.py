@@ -418,8 +418,9 @@ def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: in
     (i, j, k, loss, success)."""
     if len(surrogates) != 3:
         raise ValueError("triangle sweep needs exactly 3 surrogates")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    if (not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool)
+            or resolution < 1):
+        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
     x = np.asarray(x, dtype=np.float32)
     probe = prober(x, goal, surrogates, pm_cfg, LocalOracle(victim_model))
     rows = []

@@ -111,13 +111,14 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
     before any forward runs, EnsembleArityError unless losses.check_weights
     accepts w, and ShapeError unless every model takes x's shape.
 
-    A step is a deterministic function of delta, and project is bitwise
-    idempotent, so once a step gives back delta with the same bits every
-    later step would give it again: the loop stops taking gradients there
-    and calls on_step with that delta for the steps left. The result is
-    bitwise that of all T steps. Bit equality, not a zero gradient, is the
-    test: a nonzero gradient whose step the projection undoes is a fixed
-    point too.
+    A step is a deterministic function of delta, so once a step gives back
+    the bits of the delta one step back (a fixed point) or two steps back
+    (a 2-cycle), every later step repeats with that period: the loop stops
+    taking gradients there and calls on_step, for each step left, with the
+    delta that step would give. The result is bitwise that of all T steps.
+    Bit equality, not a zero gradient, is the test: a nonzero gradient
+    whose step the projection undoes is a fixed point too. Longer cycles
+    (some l2 runs have them) take every step.
     """
     x = np.asarray(x, dtype=np.float32)
     delta_init = np.asarray(delta_init, dtype=np.float32)
@@ -128,14 +129,18 @@ def pm_run(x, goal: AttackGoal, models, w, delta_init, cfg: PMConfig, on_step=No
         raise ValueError("pm_run delta_init has entries that are not finite")
     lam = np.float32(cfg.resolved_step())
     delta = project(delta_init, x, cfg.budget)
-    moving = True
+    back = [delta]  # the deltas of the last two steps, the newest last
+    period = 0
     for t in range(cfg.steps):
-        if moving:
+        if period:
+            delta = back[-period]
+        else:
             g = ensemble_input_gradient(models, x, delta, w, cfg.fusion, cfg.loss, goal)
-            step = project(delta - lam * np.sign(g), x, cfg.budget)
+            delta = project(delta - lam * np.sign(g), x, cfg.budget)
             # the bits, not the values: array_equal would take -0.0 for +0.0
-            moving = step.tobytes() != delta.tobytes()
-            delta = step
+            bits = delta.tobytes()
+            period = next((p for p, d in enumerate(reversed(back), 1) if d.tobytes() == bits), 0)
+        back = [back[-1], delta]
         if on_step is not None:
             on_step(t, delta)
     return delta, x + delta

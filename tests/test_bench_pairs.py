@@ -84,10 +84,13 @@ def test_verdicts_read_the_bound_against_the_parents_spread(parent, change, bett
 
 def _fake_git(monkeypatch, calls):
     """git answers every rev-parse with ``abc`` and all else with nothing,
-    and main installs no signal handler."""
+    the parent's files unpack as an empty directory, recorded in ``calls``
+    as ("unpack", rev, tree), and main installs no signal handler."""
     monkeypatch.setattr(signal, "signal", lambda *a: None)
     monkeypatch.setattr(bench_pairs, "_git",
                         lambda *a, **k: calls.append(a) or ("abc" if a[0] == "rev-parse" else ""))
+    monkeypatch.setattr(bench_pairs, "_unpack",
+                        lambda rev, tree: calls.append(("unpack", rev, tree)) or tree.mkdir())
 
 
 def test_main_writes_every_run_and_removes_the_parent_tree(tmp_path, monkeypatch, capsys):
@@ -108,8 +111,10 @@ def test_main_writes_every_run_and_removes_the_parent_tree(tmp_path, monkeypatch
     assert bench_pairs.main(argv) == 1  # setup_s doubled on the change
     parent_tree = trees[0]
     assert trees == [parent_tree, bench_pairs.ROOT, bench_pairs.ROOT, parent_tree]
-    assert git_calls[1] == ("worktree", "add", "--detach", str(parent_tree), "abc")
-    assert git_calls[2] == ("worktree", "remove", "--force", str(parent_tree))
+    # the parent's files come from one unpack, and no git call writes
+    assert [c for c in git_calls if c[0] == "unpack"] == [("unpack", "abc", parent_tree)]
+    assert {c[0] for c in git_calls} == {"rev-parse", "unpack", "status"}
+    assert not parent_tree.parent.exists()
     record = json.loads(out.read_text())
     assert record["parent"] == "abc" and record["host"] == {"python": "3"}
     assert [r["seed"] for r in record["runs"]] == [7, 7, 8, 8]
@@ -134,7 +139,8 @@ def test_main_removes_the_parent_tree_when_a_run_is_interrupted(tmp_path, monkey
     with pytest.raises(KeyboardInterrupt):
         bench_pairs.main(["--parent", "HEAD", "--workloads", "zoo-train", "--seed", "1",
                           "--out", str(tmp_path / "b.json")])
-    assert git_calls[-1][:3] == ("worktree", "remove", "--force")
+    [(_, _, parent_tree)] = [c for c in git_calls if c[0] == "unpack"]
+    assert not parent_tree.parent.exists()
     assert not (tmp_path / "b.json").exists()
 
 

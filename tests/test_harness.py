@@ -633,6 +633,22 @@ def test_triangle_sweep_validation():
         harness.triangle_sweep(x, util.targeted(0), surrogates, victim, 0, cfg)
 
 
+@pytest.mark.parametrize("resolution", [True, 2.5, "2"])
+def test_triangle_sweep_refuses_a_resolution_that_is_not_an_integer(resolution, monkeypatch):
+    surrogates, victim, x, cfg = _sweep_fixture()
+    runs = util.record_calls(monkeypatch, pm, "pm_run")
+    with pytest.raises(ValueError, match="resolution"):
+        harness.triangle_sweep(x, util.targeted(0), surrogates, victim, resolution, cfg)
+    assert runs == []
+
+
+def test_triangle_sweep_takes_a_numpy_integer_resolution():
+    surrogates, victim, x, cfg = _sweep_fixture()
+    goal = util.targeted(2)
+    assert harness.triangle_sweep(x, goal, surrogates, victim, np.int64(2), cfg) == \
+        harness.triangle_sweep(x, goal, surrogates, victim, 2, cfg)
+
+
 def test_write_sweep_csv(tmp_path):
     rows = [(2, 0, 0, 1.5, False), (0, 2, 0, -0.0, True)]
     path = tmp_path / "sweep.csv"

@@ -187,6 +187,35 @@ def test_pm_run_a_saturated_step_is_a_fixed_point_too(monkeypatch):
     assert grads == 2 and len(set(seen)) == 1 and d.any()
 
 
+def test_pm_run_stops_taking_gradients_in_a_two_cycle(monkeypatch):
+    # a large linf step on a linear model's cross-entropy overshoots back
+    # and forth: the third step gives back the first step's delta
+    m = util.tiny_model(0, 0)
+    x = util.rand_image(1)
+    cfg = _cfg(steps=10, step_size=0.24, loss=LossKind("cross_entropy"))
+    goal = util.targeted(1)
+    d, grads, seen = _run_recorded(monkeypatch, m, x, goal, np.zeros_like(x), cfg)
+    ref = util.plain_pgd(m, x, goal, "linf", 0.12, 10, 0.24, np.zeros_like(x),
+                         kind="cross_entropy")
+    assert d.tobytes() == ref.tobytes()
+    assert grads == 3
+    assert seen[0] != seen[1] and seen == [seen[0], seen[1]] * 5
+
+
+def test_pm_run_takes_every_gradient_in_a_longer_cycle(monkeypatch):
+    # under l2 this run settles into a cycle of period 3, which the
+    # two-step lookback does not see
+    m = util.tiny_model(19, 0)
+    x = util.rand_image(20)
+    cfg = _cfg("l2", 0.7, steps=12, step_size=1.4)
+    goal = util.targeted(2)
+    d, grads, seen = _run_recorded(monkeypatch, m, x, goal, np.zeros_like(x), cfg)
+    ref = util.plain_pgd(m, x, goal, "l2", 0.7, 12, 1.4, np.zeros_like(x))
+    assert d.tobytes() == ref.tobytes()
+    assert grads == 12
+    assert seen[-6:] == seen[-3:] * 2 and len(set(seen[-3:])) == 3
+
+
 def test_pm_run_takes_every_gradient_while_delta_moves(monkeypatch):
     m = util.tiny_model(8, 3)
     x = util.rand_image(8)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import util
 from ensattack import pm, search
-from ensattack.errors import CapabilityError
+from ensattack.errors import CapabilityError, ShapeError
 from ensattack.oracle import LocalOracle, image_digest
 
 
@@ -473,3 +473,50 @@ def test_stuck_whitebox_matches_the_oracle_per_estimate_loop_bitwise(fusion):
                                                               surrogates, cfg))
     assert not got.success and len(got.trajectory) == 5
     assert all(np.array_equal(rec.w, np.full(3, 1 / 3)) for rec in got.trajectory)
+
+
+# the probe's memo of PM runs
+
+def _memo_probe():
+    x, goal, surrogates, victim = _case(0)
+    oracle = LocalOracle(victim)
+    return x, search.prober(x, goal, surrogates, _probe_cfg("weighted_loss", 9).pm, oracle), oracle
+
+
+def test_a_repeated_probe_runs_the_pm_once_but_queries_every_time(monkeypatch):
+    x, probe, oracle = _memo_probe()
+    runs = util.record_calls(monkeypatch, pm, "pm_run")
+    w, warm = np.array([0.5, 0.3, 0.2]), np.zeros_like(x)
+    first = probe(w, warm)
+    again = probe(w.copy(), warm.copy())
+    assert len(runs) == 1 and len(oracle.log) == 2
+    assert oracle.log[0].digest == oracle.log[1].digest
+    assert again[0] is first[0] and _bits(again[1:]) == _bits(first[1:])
+    # -0.0 is not +0.0: the key is the bits
+    probe(w, -warm)
+    assert len(runs) == 2 and len(oracle.log) == 3
+
+
+def test_probed_deltas_are_read_only():
+    x, probe, _ = _memo_probe()
+    w, warm = np.full(3, 1 / 3), np.zeros_like(x)
+    for delta in (probe(w, warm)[0], probe(w, warm)[0]):
+        with pytest.raises(ValueError):
+            delta[...] = 0.0
+
+
+def test_a_warm_start_of_another_shape_misses_the_memo():
+    x, probe, _ = _memo_probe()
+    w, warm = np.full(3, 1 / 3), np.zeros_like(x)
+    probe(w, warm)
+    with pytest.raises(ShapeError):
+        probe(w, warm.reshape(-1))
+
+
+def test_two_probers_share_no_runs(monkeypatch):
+    x, probe_a, _ = _memo_probe()
+    _, probe_b, _ = _memo_probe()
+    runs = util.record_calls(monkeypatch, pm, "pm_run")
+    w, warm = np.full(3, 1 / 3), np.zeros_like(x)
+    assert _bits(probe_a(w, warm)[1]) == _bits(probe_b(w, warm)[1])
+    assert len(runs) == 2

@@ -6,8 +6,9 @@ Run from a checkout:
     python3 tools/bench_pairs.py --parent REV --workloads zoo-train,attack-local \\
         --pairs 10 --seed 3001 --out BENCH_name.json
 
-The parent is checked out with ``git worktree`` into a temporary
-directory, which is removed on exit. Each run is
+The parent's files are unpacked with ``git archive REV | tar -x`` into
+a temporary directory, which is removed on exit; nothing is written under
+``.git``. Each run is
 ``perfbench/run.py --trace 0`` at the ``run_seconds`` of BENCHMARK.json,
 in its own process, in that side's tree. Workloads run one after another,
 each as ``--pairs`` pairs; both runs of pair i of the k-th workload take
@@ -185,6 +186,14 @@ def _git(*args, cwd=ROOT) -> str:
                           text=True).stdout.strip()
 
 
+def _unpack(rev: str, tree: Path) -> None:
+    """The files of commit ``rev``, unpacked into the new directory ``tree``."""
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+
+
 def _bench(tree: Path, workload: str, seed: int, seconds) -> tuple:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -213,22 +222,20 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     workloads = args.workloads.split(",")
     parent_commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    # a SIGTERM unwinds through the finally below, so the worktree goes too
+    # a SIGTERM unwinds through the with below, so the parent's tree goes too
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     hosts = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-        try:
-            def run(side, workload, seed):
-                code, result, env, rates = _bench(parent_tree if side == "parent" else ROOT,
-                                                  workload, seed, seconds)
-                hosts.append(env)
-                return code, result, rates
+        _unpack(parent_commit, parent_tree)
 
-            runs = run_pairs(workloads, args.pairs, args.seed, run)
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
+        def run(side, workload, seed):
+            code, result, env, rates = _bench(parent_tree if side == "parent" else ROOT,
+                                              workload, seed, seconds)
+            hosts.append(env)
+            return code, result, rates
+
+        runs = run_pairs(workloads, args.pairs, args.seed, run)
     summary = summarize(runs, spec["end_to_end"])
     throughput = summarize_throughput(runs)
     host = {k: v for k, v in (hosts[0] or {}).items()
