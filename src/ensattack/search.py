@@ -130,28 +130,28 @@ def score_victim(oracle, x_star, goal: AttackGoal, loss: LossKind) -> tuple:
 
 
 def prober(x, goal: AttackGoal, surrogates, pm_cfg: pm_mod.PMConfig, oracle):
-    """``probe(w, warm) -> (delta, victim loss, success)``: one PM run at
-    weights ``w`` from the warm start ``warm``, scored by one query of
+    """``probe(w, warm) -> (delta, victim loss, success)``: the PM's output
+    at weights ``w`` from the warm start ``warm``, scored by one query of
     ``oracle``. Every pathway runs the PM only through a probe.
 
     ``pm_run`` is a pure function of ``(w, warm)`` here, so the probe keeps
     each run's delta, read-only, keyed on the bits and shapes of ``w`` as
     float64 and ``warm`` as float32, and runs the PM once per key; byte
     keys keep -0.0 and +0.0 apart, so a hit is exact. Every probe still
-    queries ``oracle``. The memo lives as long as the probe."""
+    queries ``oracle``, with ``x + delta``: the bits of ``pm_run``'s
+    ``x_star``. The memo lives as long as the probe."""
+    x = np.asarray(x, dtype=np.float32)
     memo = {}
 
     def probe(w, warm):
         w, warm = np.asarray(w, dtype=np.float64), np.asarray(warm, dtype=np.float32)
         key = (w.shape, w.tobytes(), warm.shape, warm.tobytes())
-        delta = memo.get(key)
-        if delta is None:
-            delta, x_star = pm_mod.pm_run(x, goal, surrogates, w, warm, pm_cfg)
+        if key not in memo:
+            delta, _ = pm_mod.pm_run(x, goal, surrogates, w, warm, pm_cfg)
             delta.flags.writeable = False
             memo[key] = delta
-        else:
-            x_star = np.asarray(x, dtype=np.float32) + delta
-        return (delta, *score_victim(oracle, x_star, goal, pm_cfg.loss))
+        delta = memo[key]
+        return (delta, *score_victim(oracle, x + delta, goal, pm_cfg.loss))
     return probe
 
 
