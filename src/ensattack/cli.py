@@ -76,6 +76,8 @@ def _cmd_sweep_triangle(args) -> None:
     surrogate_ids = [s for s in args.surrogates.split(",") if s]
     if len(surrogate_ids) != 3:
         raise ConfigError("--surrogates needs exactly 3 comma-separated model ids")
+    if args.target is not None and args.mode != "targeted":
+        raise ConfigError("--target needs --mode targeted")
     manifest, dataset, models = zoo.load_zoo(args.zoo)
     missing = [sid for sid in surrogate_ids + [args.victim] if sid not in models]
     if missing:
@@ -153,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=10)
     p.add_argument("--mode", choices=("targeted", "untargeted"), default="targeted")
     p.add_argument("--target", type=int, default=None,
-                   help="target label (default: victim's runner-up class)")
+                   help="target label, with --mode targeted only "
+                        "(default: victim's runner-up class)")
     p.add_argument("--eps", type=float, default=16.0 / 255.0)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--out", required=True, help="output CSV path")

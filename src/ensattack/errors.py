@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two checks every
+numeric setting goes through: ``check_number`` and ``check_int``."""
+
+import math
+import numbers
 
 
 class EnsAttackError(Exception):
@@ -60,3 +64,26 @@ class ProtocolError(TransportError):
 class CapabilityError(EnsAttackError, RuntimeError):
     """The remote oracle cannot serve what the caller needs (e.g. logits
     requested from a hard-label server)."""
+
+
+def check_number(name: str, value, positive: bool = True) -> None:
+    """ValueError unless value is a finite real number, > 0 or (with
+    positive=False) >= 0. A bool is not a number here, though Python counts
+    it as an int, and json.load reads Infinity and NaN."""
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
+
+
+def check_int(name: str, value, minimum: int | None = None, error=ValueError) -> None:
+    """``error`` unless value is a Python or NumPy integer, never a bool,
+    and at least ``minimum`` when one is given."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or \
+            (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import pm as pm_mod
 from . import zoo
 from .client import connect
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_int
 from .losses import AttackGoal, LossKind
 from .oracle import LocalOracle, require_soft
 from .prng import stream
@@ -101,10 +101,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not isinstance(cfg.surrogate_ids, list) or not cfg.surrogate_ids or \
             not all(isinstance(sid, str) for sid in cfg.surrogate_ids):
         raise ConfigError("surrogate_ids must be a nonempty list of model id strings")
-    if type(cfg.seed) is not int:
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if cfg.max_images is not None and (type(cfg.max_images) is not int or cfg.max_images < 1):
-        raise ConfigError(f"max_images must be a positive integer or null, got {cfg.max_images!r}")
+    check_int("seed", cfg.seed, error=ConfigError)
+    if cfg.max_images is not None:
+        check_int("max_images", cfg.max_images, 1, ConfigError)
     if not isinstance(cfg.allow_victim_overlap, bool):
         raise ConfigError(f"allow_victim_overlap must be true or false, "
                           f"got {cfg.allow_victim_overlap!r}")
@@ -125,8 +124,8 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown goal_policy keys: {sorted(extra)}")
     if ("label" in goal) != (goal.get("policy") == "provided"):
         raise ConfigError("goal_policy.label is given exactly when policy is 'provided'")
-    if "label" in goal and (type(goal["label"]) is not int or goal["label"] < 0):
-        raise ConfigError(f"goal_policy.label must be an integer >= 0, got {goal['label']!r}")
+    if "label" in goal:
+        check_int("goal_policy.label", goal["label"], 0, ConfigError)
     build_search_config(cfg.search, cfg.pm)
     return cfg
 
@@ -179,8 +178,7 @@ def summarize(records, max_queries: int, skipped: int = 0) -> MetricsSummary:
     more than max_queries queries (the message names its image index)."""
     if not records:
         raise ValueError("need at least one attacked image")
-    if type(max_queries) is not int or max_queries < 1:
-        raise ValueError(f"max_queries must be an integer >= 1, got {max_queries!r}")
+    check_int("max_queries", max_queries, 1)
     for r in records:
         if r["q_used"] > max_queries:
             raise ValueError(f"image {r.get('index')} used {r['q_used']} queries, "
@@ -418,9 +416,7 @@ def triangle_sweep(x, goal: AttackGoal, surrogates, victim_model, resolution: in
     (i, j, k, loss, success)."""
     if len(surrogates) != 3:
         raise ValueError("triangle sweep needs exactly 3 surrogates")
-    if (not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool)
-            or resolution < 1):
-        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
+    check_int("resolution", resolution, 1)
     x = np.asarray(x, dtype=np.float32)
     probe = prober(x, goal, surrogates, pm_cfg, LocalOracle(victim_model))
     rows = []

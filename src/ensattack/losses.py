@@ -7,33 +7,19 @@ the sign of a loss.
 """
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import DegenerateClassifierError, EnsembleArityError, ShapeError
+from .errors import (DegenerateClassifierError, EnsembleArityError, ShapeError, check_int,
+                     check_number)
 
 FUSION_KINDS = ("weighted_probabilities", "weighted_logits", "weighted_loss")
 # floor for fused probabilities before log; keeps the loss finite when every
 # ensemble member assigns (float32) zero mass to the class of interest
 _P_FLOOR = 1e-12
-
-
-def check_number(name: str, value, positive: bool = True) -> None:
-    """ValueError unless value is a finite real number, > 0 or (with
-    positive=False) >= 0. A bool is not a number here, though Python counts
-    it as an int, and json.load reads Infinity and NaN."""
-    try:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) \
-            and math.isfinite(value) and (value > 0 if positive else value >= 0)
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
-                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +30,7 @@ class AttackGoal:
     def __post_init__(self):
         if self.mode not in ("targeted", "untargeted"):
             raise ValueError(f"unknown goal mode {self.mode!r}")
-        if self.label < 0:
-            raise ValueError("label must be a class index")
+        check_int("label", self.label, 0)
 
 
 @dataclass(frozen=True)

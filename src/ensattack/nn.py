@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import LayerSpecError, ShapeError
+from .errors import LayerSpecError, ShapeError, check_int
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,7 @@ from .errors import LayerSpecError, ShapeError
 
 def _check_positive(layer, *names) -> None:
     for name in names:
-        if not getattr(layer, name) >= 1:
-            raise LayerSpecError(f"{layer.kind} {name} must be >= 1, got {getattr(layer, name)!r}")
+        check_int(f"{layer.kind} {name}", getattr(layer, name), 1, LayerSpecError)
 
 
 @dataclass(frozen=True)
@@ -90,23 +89,17 @@ _LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, Relu, Flatten)}
 
 
 def layer_from_dict(d) -> LayerSpec:
-    """The layer a ``layer_to_dict`` dict describes. Sizes must be JSON
-    integers (not floats, bools or strings); a missing conv stride is 1."""
+    """The layer a ``layer_to_dict`` dict describes; a missing conv stride
+    is 1. Each layer checks its own sizes, so a float, a bool or a missing
+    size raises LayerSpecError."""
     if not isinstance(d, dict):
         raise LayerSpecError(f"layer entry must be an object, got {d!r}")
     kind = d.get("kind")
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise LayerSpecError(f"unknown layer kind: {kind!r}")
-    sizes = {}
-    for f in fields(cls):
-        if f.name == "kind" or (f.name not in d and f.default is not MISSING):
-            continue
-        value = d.get(f.name)
-        if type(value) is not int:
-            raise LayerSpecError(f"{cls.kind} {f.name} must be an integer, got {value!r}")
-        sizes[f.name] = value
-    return cls(**sizes)
+    return cls(**{f.name: d.get(f.name) for f in fields(cls)
+                  if f.name != "kind" and (f.name in d or f.default is MISSING)})
 
 
 def param_shapes(layer: LayerSpec) -> tuple:

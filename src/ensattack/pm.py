@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
-from .losses import (FUSION_KINDS, AttackGoal, LossKind, check_number, check_weights,
-                     ensemble_input_gradient)
+from .errors import ShapeError, check_int, check_number
+from .losses import FUSION_KINDS, AttackGoal, LossKind, check_weights, ensemble_input_gradient
 
 # relative slack for the l2 feasibility predicate: one projection leaves
 # ||delta|| <= eps*(1 + ~2e-7) in float32, and the projection itself only
@@ -40,8 +39,7 @@ def _check_float32(name: str, value) -> None:
 
 def default_step(budget: Budget, steps: int) -> float:
     """Step size 3*eps/T: three times the budget-covering base step."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    check_int("steps", steps, 1)
     return 3.0 * budget.eps / steps
 
 
@@ -54,8 +52,7 @@ class PMConfig:
     fusion: str = "weighted_loss"
 
     def __post_init__(self):
-        if type(self.steps) is not int or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        check_int("steps", self.steps, 1)
         check_number("steps", self.steps)  # an int beyond the float range
         if self.step_size is not None:
             check_number("step_size", self.step_size)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pm as pm_mod
-from .losses import AttackGoal, LossKind, check_number, single_loss
+from .errors import check_int, check_number
+from .losses import AttackGoal, LossKind, single_loss
 from .oracle import LocalOracle, is_success, require_soft
 from .prng import stream
 
@@ -31,14 +32,12 @@ class SearchConfig:
     select_rule: str = "monotone_three_way"  # or "paper_two_way"
 
     def __post_init__(self):
-        if type(self.max_queries) is not int or self.max_queries < 1:
-            raise ValueError(f"max_queries must be an integer >= 1, got {self.max_queries!r}")
+        check_int("max_queries", self.max_queries, 1)
         if self.eta is not None:
             check_number("eta", self.eta)
         if self.order not in ("cyclic", "random"):
             raise ValueError(f"unknown order {self.order!r}")
-        if type(self.order_seed) is not int:
-            raise ValueError(f"order_seed must be an integer, got {self.order_seed!r}")
+        check_int("order_seed", self.order_seed)
         if self.select_rule not in ("monotone_three_way", "paper_two_way"):
             raise ValueError(f"unknown select_rule {self.select_rule!r}")
 

@@ -45,6 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import nn
+from .errors import check_int
 from .oracle import check_image, read_shape
 
 # seconds a request's body may take to arrive once its headers are in; idle
@@ -294,8 +295,8 @@ def serve(model: nn.Model, mode: str = "soft", bind: str = "127.0.0.1:0",
     integer from 0 to 65535."""
     if mode not in ("soft", "hard"):
         raise ValueError(f"unknown mode {mode!r}")
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
+    if budget is not None:
+        check_int("budget", budget, 0)
     host, _, port = bind.rpartition(":")
     if not (port.isascii() and port.isdigit() and int(port) <= 65535):
         raise ValueError(f"port must be an integer from 0 to 65535, got {port!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import FormatError, LayerSpecError, TrainingDivergedError
+from .errors import FormatError, LayerSpecError, TrainingDivergedError, check_int, check_number
 from .losses import cross_entropy
 from .prng import draws, stream, uniform_from_bits
 
@@ -93,8 +93,8 @@ class TrainConfig:
     learning_rate: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+        check_int("epochs", self.epochs, 1)
+        check_number("learning_rate", self.learning_rate, positive=False)
 
 
 def _bilinear_upsample(grid: np.ndarray, side: int) -> np.ndarray:
@@ -115,8 +115,9 @@ def make_synthetic_dataset(num_classes: int, per_class: int, side: int, seed: in
     train/test convention is parity of that index (even train, odd test),
     so ``per_class`` must be at least 2 for both splits to hold every class.
     """
-    if num_classes < 2 or per_class < 2 or side < 4:
-        raise ValueError("need num_classes >= 2, per_class >= 2 and side >= 4")
+    check_int("num_classes", num_classes, 2)
+    check_int("per_class", per_class, 2)
+    check_int("side", side, 4)
     span = np.float32(TEMPLATE_HIGH - TEMPLATE_LOW)
     templates = np.stack([
         TEMPLATE_LOW + span * _bilinear_upsample(

@@ -240,6 +240,45 @@ def test_sweep_triangle_verb(zoo_dir, tmp_path, capsys):
                  "--image", "9999", "--out", str(out)]) == 2
 
 
+def _sweep(zoo_dir, out, *extra):
+    return main(["sweep-triangle", "--zoo", zoo_dir, "--surrogates", "cnn-a,mlp-a,mlp-b",
+                 "--victim", "victim-cnn", "--resolution", "2", "--steps", "2",
+                 "--out", str(out), *extra])
+
+
+def test_sweep_triangle_untargeted_writes_the_untargeted_sweep(zoo_dir, zoo_bundle, tmp_path):
+    from ensattack import harness, losses
+    from ensattack import pm as pm_mod
+
+    out = tmp_path / "untargeted.csv"
+    assert _sweep(zoo_dir, out, "--mode", "untargeted") == 0
+    _, dataset, models = zoo_bundle
+    test = dataset.test_split()
+    rows = harness.triangle_sweep(
+        test.images[0], losses.AttackGoal("untargeted", int(test.labels[0])),
+        [models[s] for s in ("cnn-a", "mlp-a", "mlp-b")], models["victim-cnn"], 2,
+        pm_mod.PMConfig(budget=pm_mod.Budget("linf", 16.0 / 255.0), steps=2))
+    harness.write_sweep_csv(rows, tmp_path / "direct.csv")
+    assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_sweep_triangle_refuses_a_target_that_is_the_true_label(zoo_dir, zoo_bundle,
+                                                               tmp_path, capsys):
+    label = int(zoo_bundle[1].test_split().labels[0])
+    out = tmp_path / "sweep.csv"
+    assert _sweep(zoo_dir, out, "--target", str(label)) == 2
+    assert "target label equals the true label" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_triangle_refuses_a_target_without_targeted_mode(zoo_dir, tmp_path, capsys):
+    # the target used to be dropped, the untargeted sweep written, exit 0
+    out = tmp_path / "sweep.csv"
+    assert _sweep(zoo_dir, out, "--mode", "untargeted", "--target", "3") == 2
+    assert "--target" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_serve_verb_subprocess(zoo_dir):
     model_path = os.path.join(zoo_dir, "models", "victim-mlp.bem")
     proc = subprocess.Popen(

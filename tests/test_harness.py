@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
-from ensattack import client, harness, nn, pm, search, server, zoo
+from ensattack import client, harness, losses, nn, pm, search, server, zoo
 from ensattack.errors import ConfigError, FormatError
 from ensattack.prng import stream
 
@@ -212,6 +212,12 @@ def test_summarize_refuses_a_budget_that_is_not_a_count(max_queries):
     # -5 used to count each failed image as -5 queries
     with pytest.raises(ValueError, match="max_queries must be an integer >= 1"):
         harness.summarize([{"index": 0, "success": False, "q_used": 1}], max_queries)
+
+
+def test_summarize_takes_a_numpy_integer_budget():
+    records = [{"index": 0, "success": False, "q_used": 1}]
+    assert harness.summary_to_json(harness.summarize(records, np.int64(5))) == \
+        harness.summary_to_json(harness.summarize(records, 5))
 
 
 def test_summarize_refuses_a_record_over_the_budget_naming_its_image():
@@ -469,6 +475,69 @@ def test_a_mutated_query_log_gives_records_or_raises_format_error(blob):
     for r in records:
         assert r["index"] == 42 and type(r["success"]) is bool
         assert type(r["q_used"]) is int and 0 <= r["q_used"] < 10 ** 18
+
+
+def test_run_experiment_untargeted(zoo_dir, zoo_bundle, tmp_path, monkeypatch):
+    # the paper's untargeted goal end to end: the artifacts agree with the
+    # logs, no record has a target, and every success changes the label
+    attacks = []
+
+    def recording_attack(img, goal, victim, surrogates, cfg):
+        outcome = search.bases_attack(img, goal, victim, surrogates, cfg)
+        attacks.append((img, goal, outcome))
+        return outcome
+
+    monkeypatch.setattr(harness, "bases_attack", recording_attack)
+    out = str(tmp_path / "untargeted")
+    summary = harness.run_experiment(_experiment_cfg(zoo_dir, out,
+                                                     goal_policy={"mode": "untargeted"}))
+    rebuilt = harness.summarize(harness.records_from_csv_dir(os.path.join(out, "query_logs")),
+                                6, summary.skipped)
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    expected = json.loads(harness.summary_to_json(rebuilt))
+    assert [{k: r[k] for k in ("index", "success", "q_used")} for r in payload.pop("per_image")] \
+        == expected.pop("per_image")
+    assert payload == expected
+    assert summary.attempted == len(attacks) >= 1 and summary.fooling_rate > 0
+    assert all(r["target"] is None for r in summary.per_image)
+    victim = zoo_bundle[2]["victim-mlp"]
+    for (img, goal, outcome), record in zip(attacks, summary.per_image):
+        assert goal == losses.AttackGoal("untargeted", record["label"])
+        if outcome.success:
+            adversarial = np.argmax(nn.forward(victim, img + outcome.delta))
+            assert adversarial != record["label"]
+
+
+def test_run_experiment_skips_images_whose_label_is_the_provided_target(zoo_dir, zoo_bundle,
+                                                                         tmp_path):
+    _, dataset, models = zoo_bundle
+    test = dataset.test_split()
+    label = int(test.labels[0])
+    n = 16  # the split holds the images class by class: this reaches two classes
+    out = str(tmp_path / "provided")
+    summary = harness.run_experiment(_experiment_cfg(
+        zoo_dir, out, max_images=n,
+        goal_policy={"mode": "targeted", "policy": "provided", "label": label}))
+    clean = [int(np.argmax(nn.forward(models["victim-mlp"], test.images[i]))) for i in range(n)]
+    misclassified = sum(c != int(y) for c, y in zip(clean, test.labels[:n]))
+    own_label = sum(c == int(y) == label for c, y in zip(clean, test.labels[:n]))
+    assert own_label >= 1 and summary.attempted >= 1
+    assert summary.skipped == misclassified + own_label
+    assert summary.attempted == n - summary.skipped
+    assert all(r["label"] != label and r["target"] == label for r in summary.per_image)
+
+
+def test_run_experiment_refuses_a_run_with_no_image_left_to_attack(zoo_dir, zoo_bundle, tmp_path):
+    # the only image screened is skipped, whether the victim misclassifies
+    # it or its label is the provided target
+    label = int(zoo_bundle[1].test_split().labels[0])
+    out = str(tmp_path / "none")
+    with pytest.raises(ConfigError, match="no image passed the clean-classification screen"):
+        harness.run_experiment(_experiment_cfg(
+            zoo_dir, out, max_images=1,
+            goal_policy={"mode": "targeted", "policy": "provided", "label": label}))
+    assert not [f for _, _, files in os.walk(out) for f in files]
 
 
 def test_run_experiment_victim_overlap_guard(zoo_dir, tmp_path):

@@ -22,9 +22,17 @@ def test_goal_and_kind_validation():
         AttackGoal("targeted", -1)
     with pytest.raises(ValueError):
         LossKind("hinge")
+    assert AttackGoal("targeted", np.int64(3)).label == 3
     for kappa in (-0.1, math.inf, math.nan, True, 10**400, "1"):
         with pytest.raises(ValueError):
             LossKind(kappa=kappa)
+
+
+@pytest.mark.parametrize("label", [1.5, True, "1", None])
+def test_a_goal_label_that_is_not_an_integer_is_refused(label):
+    # 1.5 used to fail later with a bare IndexError, True ran as class 1
+    with pytest.raises(ValueError, match="label must be an integer >= 0"):
+        AttackGoal("targeted", label)
 
 
 def test_cw_margin_examples():

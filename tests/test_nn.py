@@ -255,6 +255,21 @@ def test_param_gradients_are_taken_over_a_batch_only(arch):
     assert dtheta.dtype == np.float32 and dtheta.shape == m.theta.shape
 
 
+@pytest.mark.parametrize("make", [
+    lambda: nn.Dense(2.5, 3), lambda: nn.Dense(True, 3), lambda: nn.Dense(4, 0),
+    lambda: nn.Dense(4, "3"), lambda: nn.Conv2d(1, 3, 3, stride=1.0),
+    lambda: nn.Conv2d(1, 3, np.bool_(True)),
+])
+def test_a_layer_size_that_is_not_an_integer_is_refused(make):
+    # 2.5 and True used to pass and fail later, at the first forward
+    with pytest.raises(LayerSpecError, match="must be an integer >= 1"):
+        make()
+
+
+def test_a_layer_takes_numpy_integer_sizes():
+    assert nn.Conv2d(np.int64(1), np.int32(3), np.uint8(3)) == nn.Conv2d(1, 3, 3)
+
+
 def test_layer_spec_composition_errors():
     with pytest.raises(LayerSpecError):
         nn.compose_shapes([nn.Dense(5, 3)], (4,))
@@ -345,7 +360,9 @@ def test_layer_dict_round_trip():
     for bad in ({"kind": "pool"}, {"kind": ["dense"]}, [("kind", "relu")], "relu",
                 {"kind": "dense", "in_features": 4},
                 {"kind": "dense", "in_features": 4, "out_features": 2.0},
-                {"kind": "dense", "in_features": False, "out_features": 2}):
+                {"kind": "dense", "in_features": False, "out_features": 2},
+                {"kind": "conv2d", "in_channels": 1, "out_channels": 3, "kernel_size": 3,
+                 "stride": None}):
         with pytest.raises(LayerSpecError):
             nn.layer_from_dict(bad)
 

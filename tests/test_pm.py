@@ -25,6 +25,9 @@ def test_default_step_examples():
     assert pm.default_step(b, 20) == pytest.approx(pm.default_step(b, 10) / 2.0)
     with pytest.raises(ValueError):
         pm.default_step(b, 0)
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        pm.default_step(b, 2.5)
+    assert pm.default_step(b, np.int64(20)) == pm.default_step(b, 20)
 
 
 def test_pm_config_validation():
@@ -34,6 +37,11 @@ def test_pm_config_validation():
     with pytest.raises(ValueError):
         pm.PMConfig(budget=b, step_size=0.0)
     assert pm.PMConfig(budget=b, steps=5).resolved_step() == pm.default_step(b, 5)
+    # NumPy integers pass, bools and floats do not, as for every integer setting
+    assert pm.PMConfig(budget=b, steps=np.int64(5)) == pm.PMConfig(budget=b, steps=5)
+    for steps in (True, 5.0, 10**400):
+        with pytest.raises(ValueError, match="steps"):
+            pm.PMConfig(budget=b, steps=steps)
     assert pm.PMConfig(budget=b, step_size=0.01).resolved_step() == 0.01
 
 

@@ -72,6 +72,11 @@ def test_search_config_validation():
     assert _cfg(eta=0.2).resolved_eta(6) == 0.2
 
 
+def test_search_config_takes_numpy_integers():
+    assert _cfg(max_queries=np.int64(5), order_seed=np.uint32(3)) == \
+        _cfg(max_queries=5, order_seed=3)
+
+
 @pytest.mark.parametrize("seed", ["a", None, 1.5, True])
 def test_search_config_rejects_an_order_seed_that_is_not_an_integer(seed):
     # under order="random" these used to fail after the first query, or

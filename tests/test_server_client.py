@@ -480,6 +480,11 @@ def test_serve_refuses_a_budget_that_is_not_a_count(budget):
         server.serve(util.tiny_model(50, 0), budget=budget)
 
 
+def test_serve_takes_a_numpy_integer_budget():
+    with server.serve(util.tiny_model(50, 0), budget=np.int64(0)) as handle:
+        assert handle.url.startswith("http://127.0.0.1:")
+
+
 @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", ":-1",
                                   "127.0.0.1:x", "127.0.0.1:"])
 def test_serve_refuses_a_port_out_of_range(bind):
@@ -615,6 +620,24 @@ def test_next_query_reconnects_after_a_transport_error(monkeypatch, connect):
         monkeypatch.undo()
         assert np.array_equal(orc.query(x).logits, nn.forward(model, x))
         assert orc.count == 2
+
+
+def test_a_reply_over_the_size_limit_closes_the_connection(connect):
+    # a valid soft reply padded past MAX_REPLY_BYTES, on a connection the
+    # server would keep: the client refuses it unread and hangs up
+    padded = json.dumps({"logits": [0.5, -1.25, 3.0, 2.0],
+                         "pad": "a" * client.MAX_REPLY_BYTES}).encode()
+    with _RawRogue(_http_reply(padded)) as rogue:
+        rogue.keep_open = True
+        orc = connect(rogue.url)
+        rogue.closed.clear()
+        with pytest.raises(ProtocolError, match="longer than") as err:
+            orc.query(util.rand_image(820))
+        assert err.value.partial_log is orc.log and orc.count == 0
+        assert orc._session.sock is None and rogue.closed.wait(3.0)
+        rogue.reply = _http_reply(_LOGITS_4)
+        assert orc.query(util.rand_image(821)).label == 2
+        assert orc.count == 1
 
 
 _MUTATIONS = ("hang up", "status", "headers", "length", "body", "truncate")

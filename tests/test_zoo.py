@@ -64,6 +64,9 @@ def test_dataset_validation():
     for num_classes, per_class in [(1, 5), (2, 0), (2, 1)]:
         with pytest.raises(ValueError):
             zoo.make_synthetic_dataset(num_classes, per_class, 8, 0)
+    for args in [(2.0, 2, 8), (2, True, 8), (2, 2, 3), (2, 2, 8.0)]:
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            zoo.make_synthetic_dataset(*args, 0)
 
 
 def test_dataset_is_linearly_learnable(monkeypatch):
@@ -88,6 +91,25 @@ def test_build_model_init_properties():
     assert np.array_equal(conv_b, np.zeros(4, np.float32))
     w_fc, _ = m1.params[3]
     assert float(np.abs(w_fc).max()) <= 1.0 / np.sqrt(4 * 36) + 1e-7
+
+
+@pytest.mark.parametrize("over", [
+    {"epochs": 1.5}, {"epochs": True}, {"epochs": 0}, {"epochs": "3"},
+    {"learning_rate": -0.1}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+    {"learning_rate": True},
+])
+def test_train_config_refuses_a_bad_setting(over):
+    # epochs=True trained one epoch and learning_rate=-0.1 trained uphill,
+    # both with no error
+    with pytest.raises(ValueError, match=next(iter(over))):
+        zoo.TrainConfig(**over)
+
+
+def test_train_refuses_an_empty_dataset():
+    m = zoo.build_model([nn.Flatten(), nn.Dense(64, 4)], (1, 8, 8), 4, seed=2)
+    empty = zoo.LabeledDataset(np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, np.int64), 4, 8)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        zoo.train(m, empty, zoo.TrainConfig(epochs=1))
 
 
 def test_train_zero_lr_is_identity_bitwise():

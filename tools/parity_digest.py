@@ -49,8 +49,9 @@ def tree_digest(root: str) -> str:
     return h.hexdigest()
 
 
-def run_readme_experiment(zoo_dir: str, victim: dict, out_dir: str) -> None:
-    harness.run_experiment(harness.parse_experiment_config({
+def readme_config(zoo_dir: str, victim: dict, out_dir: str) -> dict:
+    """The README experiment's JSON config, on the zoo in ``zoo_dir``."""
+    return {
         "dataset": os.path.join(zoo_dir, "dataset.bds"),
         "zoo_manifest": os.path.join(zoo_dir, "manifest.json"),
         "surrogate_ids": SURROGATES,
@@ -60,7 +61,12 @@ def run_readme_experiment(zoo_dir: str, victim: dict, out_dir: str) -> None:
         "search": {"max_queries": 50},
         "pm": {"steps": 10, "budget": {"norm": "linf", "eps": 16 / 255}},
         "seed": 7,
-    }))
+    }
+
+
+def run_readme_experiment(zoo_dir: str, victim: dict, out_dir: str):
+    return harness.run_experiment(harness.parse_experiment_config(
+        readme_config(zoo_dir, victim, out_dir)))
 
 
 def main() -> None:
