@@ -32,8 +32,13 @@ def _cmd_zoo_train(args) -> None:
 def _cmd_serve(args) -> None:
     from . import server, zoo
 
+    if args.budget.lower() == "none":
+        budget = None
+    elif args.budget.isascii() and args.budget.isdigit():
+        budget = int(args.budget)
+    else:
+        raise ConfigError(f"--budget takes an integer >= 0 or 'none', got {args.budget!r}")
     model = zoo.load_model(args.model)
-    budget = None if args.budget.lower() == "none" else int(args.budget)
     try:
         handle = server.serve(model, mode=args.mode, bind=args.bind, budget=budget)
     except OSError as exc:
@@ -139,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file (.bem)")
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
     p.add_argument("--bind", default="127.0.0.1:8752", help="addr:port (port 0 picks a free one)")
-    p.add_argument("--budget", default="none", help="per-client query budget, or 'none'")
+    p.add_argument("--budget", default="none",
+                   help="per-client query budget: an integer >= 0, or 'none'")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("attack", help="run an experiment from a JSON config")

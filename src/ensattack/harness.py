@@ -17,7 +17,6 @@ import numpy as np
 
 from . import pm as pm_mod
 from . import zoo
-from .client import connect
 from .errors import ConfigError, FormatError, check_int
 from .losses import AttackGoal, LossKind
 from .oracle import LocalOracle, require_soft
@@ -210,13 +209,22 @@ def success_curve(records, max_queries: int):
     return rows
 
 
+def connect(url: str):
+    """``client.connect(url)``, imported on the first call, so that a run
+    against an in-process victim loads no HTTP or OpenSSL code."""
+    from . import client
+
+    return client.connect(url)
+
+
 def _derive_seed(seed: int, tag: str) -> int:
     return int(stream(seed, tag).u64(1)[0] & 0x7FFFFFFF)
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
     """Attacks every correctly-classified test image and writes artifacts:
-    query_logs/image_NNNN.csv, success_curve.csv, summary.json."""
+    query_logs/image_NNNN.csv, success_curve.csv, summary.json. ConfigError,
+    counting both skip reasons and writing nothing, when no image is left."""
     dataset = zoo.load_dataset(cfg.dataset)
     manifest = zoo.load_manifest(cfg.zoo_manifest)
     zoo_dir = os.path.dirname(os.path.abspath(cfg.zoo_manifest))
@@ -271,15 +279,15 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
         test = dataset.test_split()
         limit = len(test) if cfg.max_images is None else min(cfg.max_images, len(test))
 
-        os.makedirs(os.path.join(cfg.output_dir, "query_logs"), exist_ok=True)
+        log_dir = os.path.join(cfg.output_dir, "query_logs")
         records = []
-        skipped = 0
+        misclassified = on_target = 0  # the two reasons an image is skipped
         for i in range(limit):
             img = test.images[i]
             y = int(test.labels[i])
             clean = victim.query(img)
             if clean.label != y:
-                skipped += 1
+                misclassified += 1
                 continue
             if goal_mode == "untargeted":
                 goal = AttackGoal("untargeted", y)
@@ -288,14 +296,15 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
                                      rng=stream(cfg.seed, f"image/{i}/target"),
                                      provided=provided)
                 if target == y:
-                    skipped += 1
+                    on_target += 1
                     continue
                 goal = AttackGoal("targeted", target)
 
             per_image = replace(search_cfg, order_seed=_derive_seed(cfg.seed, f"image/{i}/order"))
             outcome = bases_attack(img, goal, victim.fresh(), surrogates, per_image)
-            with _atomically(os.path.join(cfg.output_dir, "query_logs",
-                                          f"image_{i:04d}.csv")) as tmp:
+            if not records:
+                os.makedirs(log_dir, exist_ok=True)
+            with _atomically(os.path.join(log_dir, f"image_{i:04d}.csv")) as tmp:
                 export_query_log_csv(outcome, tmp)
             records.append({
                 "index": i,
@@ -307,9 +316,10 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsSummary:
     finally:
         victim.close()
     if not records:
-        raise ConfigError("no image passed the clean-classification screen")
+        raise ConfigError(f"no image left to attack: {misclassified} misclassified by "
+                          f"the victim, {on_target} whose label is the target")
 
-    summary = summarize(records, search_cfg.max_queries, skipped)
+    summary = summarize(records, search_cfg.max_queries, misclassified + on_target)
     curve = os.path.join(cfg.output_dir, "success_curve.csv")
     with _atomically(curve) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("q,success_fraction\n")

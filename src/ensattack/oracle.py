@@ -10,7 +10,7 @@ never knows which transport it is talking to.
 """
 
 import copy
-import hashlib
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +29,17 @@ class OracleResponse:
 @dataclass
 class QueryRecord:
     index: int  # 1-based query number
-    digest: str  # sha256 of the query image bytes (first 16 hex chars)
+    digest: str  # image_digest of the query image: 16 hex chars
     label: int
     success: bool | None  # goal-evaluated flag; None when no goal was given
 
 
 def image_digest(image: np.ndarray) -> str:
+    """A non-cryptographic 64-bit fingerprint of the image's float32 bytes,
+    as 16 hex chars: CRC-32 then Adler-32. It tells the query images of one
+    run apart; it is no defence against images made to collide."""
     data = np.ascontiguousarray(image, dtype="<f4").tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
 
 
 def is_success(label: int, goal: AttackGoal) -> bool:

@@ -17,7 +17,8 @@ def test_span_hooks_install_trace_and_restore(monkeypatch):
     import workloads
 
     patched = [(nn, "_forward_saved"), (nn, "backward"), (kernels, "conv2d_forward"),
-               (kernels, "conv2d_grad_input"), (zoo, "train"), (harness, "bases_attack")]
+               (kernels, "conv2d_grad_input"), (zoo, "train"), (harness, "bases_attack"),
+               (harness, "connect")]
     originals = [getattr(owner, name) for owner, name in patched]
     tracer, patcher = spans.Tracer(), spans.Patcher()
     spans.install(tracer, patcher)

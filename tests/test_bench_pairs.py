@@ -61,7 +61,7 @@ def test_summary_gives_medians_quartiles_and_lower_in_k_of_n():
     assert list(bench_pairs.summarize(_runs(parent, change), END_TO_END)["w"]) == ["setup_s"]
     [line] = bench_pairs.report({"w": {"setup_s": s}})
     assert "parent 3 (q1 2, q3 4)" in line and "change 3" in line
-    assert "lower in 2 of 5" in line and line.endswith(s["verdict"])
+    assert "lower in 2 of 5" in line and line.endswith(f"{s['verdict']}  {s['claim']}")
 
 
 @pytest.mark.parametrize("parent, change, better, want", [
@@ -80,6 +80,34 @@ def test_summary_gives_medians_quartiles_and_lower_in_k_of_n():
 def test_verdicts_read_the_bound_against_the_parents_spread(parent, change, better, want):
     bound = 0.25 if better == "lower" else 0.01
     assert bench_pairs.verdict(parent, change, better, bound) == want
+
+
+WIDE = [10.0, 10.5, 11.0, 11.5, 12.0, 12.5, 13.0, 13.5, 14.0, 14.5]  # IQR 2.25
+NARROW = [10.0, 10.1, 10.0, 10.1, 10.0, 10.1, 10.0, 10.1, 10.0, 10.1]  # IQR 0.1
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    # 9 of 10 pairs lower, but the medians differ by 2.0 < the parent's IQR
+    (WIDE, [v - 2.0 for v in WIDE[:9]] + [15.0], "lower", "no gain"),
+    # 10 of 10 lower, by 1.0 > 0.1
+    (NARROW, [v - 1.0 for v in NARROW], "lower", "gain"),
+    # 9 lower and 1 tie is still 9 of 10; 8 lower and 2 ties is not
+    (NARROW, [v - 1.0 for v in NARROW[:9]] + [NARROW[9]], "lower", "gain"),
+    (NARROW, [v - 1.0 for v in NARROW[:8]] + NARROW[8:], "lower", "no gain"),
+    # lower is not better for a higher-is-better metric
+    (NARROW, [v - 1.0 for v in NARROW], "higher", "no gain"),
+    (NARROW, [v + 1.0 for v in NARROW], "higher", "gain"),
+    (NARROW, NARROW, "lower", "no gain"),
+], ids=["9-of-10-wide", "10-of-10-narrow", "9-and-a-tie", "8-and-2-ties", "higher-worse",
+        "higher-better", "equal"])
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parents_iqr(
+        parent, change, better, want):
+    assert bench_pairs.claim(list(zip(parent, change)), better) == want
+    metric = {"name": "setup_s", "unit": "s", "better": better, "bound": 0.25}
+    s = bench_pairs.summarize(_runs(parent, change), [metric])["w"]["setup_s"]
+    assert s["claim"] == want
+    [line] = bench_pairs.report({"w": {"setup_s": s}})
+    assert line.endswith(f"  {want}")
 
 
 def _fake_git(monkeypatch, calls):
@@ -120,6 +148,7 @@ def test_main_writes_every_run_and_removes_the_parent_tree(tmp_path, monkeypatch
     assert [r["seed"] for r in record["runs"]] == [7, 7, 8, 8]
     assert record["summary"]["zoo-train"]["setup_s"]["verdict"] == "worse"
     assert record["summary"]["zoo-train"]["ok_frac"]["verdict"] == "ok"
+    assert record["summary"]["zoo-train"]["setup_s"]["claim"] == "no gain"
     assert record["throughput"]["zoo-train"]["train_samples_per_s"]["pairs_change_higher"] == 2
     assert [r["throughput"] for r in record["runs"]] == [{"train_samples_per_s": v}
                                                          for v in (100.0, 200.0, 200.0, 100.0)]

@@ -310,9 +310,12 @@ def test_serve_missing_model_exit_2(tmp_path):
 
 @pytest.mark.parametrize("bind, budget, word", [
     ("127.0.0.1:0", "-1", "budget"),
+    # these two used to print int()'s "invalid literal" message
+    ("127.0.0.1:0", "abc", "--budget takes an integer >= 0 or 'none', got 'abc'"),
+    ("127.0.0.1:0", "1.5", "--budget takes an integer >= 0 or 'none', got '1.5'"),
     ("127.0.0.1:99999", "none", "port"),  # bind() used to die with an OverflowError
     ("127.0.0.1:-1", "none", "port"),
-], ids=["negative-budget", "port-99999", "port-minus-1"])
+], ids=["negative-budget", "budget-abc", "budget-1.5", "port-99999", "port-minus-1"])
 def test_serve_a_bad_budget_or_port_exits_2(tmp_path, capsys, bind, budget, word):
     path = str(tmp_path / "m.bem")
     zoo.save_model(util.tiny_model(50, 0), path)

@@ -528,16 +528,28 @@ def test_run_experiment_skips_images_whose_label_is_the_provided_target(zoo_dir,
     assert all(r["label"] != label and r["target"] == label for r in summary.per_image)
 
 
-def test_run_experiment_refuses_a_run_with_no_image_left_to_attack(zoo_dir, zoo_bundle, tmp_path):
-    # the only image screened is skipped, whether the victim misclassifies
-    # it or its label is the provided target
-    label = int(zoo_bundle[1].test_split().labels[0])
-    out = str(tmp_path / "none")
-    with pytest.raises(ConfigError, match="no image passed the clean-classification screen"):
+@pytest.mark.parametrize("misclassified", [True, False], ids=["misclassified", "on-target"])
+def test_run_experiment_refuses_a_run_with_no_image_left_to_attack(zoo_dir, zoo_bundle, tmp_path,
+                                                                    misclassified):
+    # the only image screened is skipped, because the victim misclassifies
+    # it or because its label is the provided target; the message counts
+    # both reasons, and the run leaves nothing behind, not even query_logs/
+    _, dataset, models = zoo_bundle
+    predicted = int(np.argmax(nn.forward(models["victim-mlp"], dataset.test_split().images[0])))
+    labels = dataset.labels.copy()
+    # test image 0 is dataset image 1
+    labels[1] = (predicted + 1) % dataset.num_classes if misclassified else predicted
+    path = str(tmp_path / "dataset.bds")
+    zoo.save_dataset(zoo.LabeledDataset(dataset.images, labels, dataset.num_classes,
+                                        dataset.side), path)
+    out = str(tmp_path / "out")
+    counts = (1, 0) if misclassified else (0, 1)
+    with pytest.raises(ConfigError, match=f"^no image left to attack: {counts[0]} misclassified "
+                                          f"by the victim, {counts[1]} whose label is the target$"):
         harness.run_experiment(_experiment_cfg(
-            zoo_dir, out, max_images=1,
-            goal_policy={"mode": "targeted", "policy": "provided", "label": label}))
-    assert not [f for _, _, files in os.walk(out) for f in files]
+            zoo_dir, out, dataset=path, max_images=1,
+            goal_policy={"mode": "targeted", "policy": "provided", "label": predicted}))
+    assert not os.path.exists(out)
 
 
 def test_run_experiment_victim_overlap_guard(zoo_dir, tmp_path):

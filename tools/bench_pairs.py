@@ -28,6 +28,12 @@ change read lower, and a verdict:
   than that bound, relative to the parent's median;
 - ``ok`` otherwise.
 
+Beside the verdict it prints the claim rule of a gain: ``gain`` when the
+change reads better in at least nine tenths of the pairs, ties counting
+for neither side, and the two medians differ, the change's way, by more
+than the parent's interquartile range; ``no gain`` otherwise. The claim
+never changes the exit code.
+
 ``perfbench/run.py`` prints its throughput, ``images_per_s``,
 ``queries_per_s`` and, for zoo-train, ``train_samples_per_s``, only as
 readable lines, which its final JSON line leaves out. The script keeps
@@ -101,6 +107,17 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "worse" if sign * (c["median"] - p["median"]) > bound * scale else "ok"
 
 
+def claim(both: list, better: str) -> str:
+    """``gain`` or ``no gain`` for (parent, change) pairs, as the module
+    docstring rules."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent, change = _stats([a for a, _ in both]), _stats([b for _, b in both])
+    wins = sum(sign * b < sign * a for a, b in both)
+    gap = sign * (parent["median"] - change["median"])
+    return "gain" if 10 * wins >= 9 * len(both) and gap > parent["q3"] - parent["q1"] \
+        else "no gain"
+
+
 def _paired(runs: list, workload: str, value) -> list:
     """(parent, change) of ``value(run)`` for each pair of ``workload``
     whose two runs both have a value."""
@@ -129,7 +146,8 @@ def summarize(runs: list, end_to_end: list) -> dict:
                 "pairs_change_lower": sum(b < a for a, b in both),
                 "pairs_change_higher": sum(b > a for a, b in both), "pairs": len(both),
                 "bound": m["bound"], "better": m["better"],
-                "verdict": verdict(parent, change, m["better"], m["bound"])}
+                "verdict": verdict(parent, change, m["better"], m["bound"]),
+                "claim": claim(both, m["better"])}
     return summary
 
 
@@ -157,7 +175,7 @@ def report(summary: dict) -> list:
             lines.append(
                 f"{workload:13} {name:15} parent {p['median']:.4g} (q1 {p['q1']:.4g}, "
                 f"q3 {p['q3']:.4g})  change {c['median']:.4g}  lower in "
-                f"{s['pairs_change_lower']} of {s['pairs']}  {s['verdict']}")
+                f"{s['pairs_change_lower']} of {s['pairs']}  {s['verdict']}  {s['claim']}")
     return lines
 
 
